@@ -11,7 +11,7 @@
 use elivagar_datasets::Split;
 use elivagar_ml::{cross_entropy, Adam, QuantumClassifier};
 use elivagar_sim::noise::CircuitNoise;
-use elivagar_sim::{adjoint_gradient, noisy_distribution_auto, ZObservable};
+use elivagar_sim::{noisy_distribution_auto, AdjointProgram, Gradients, ZObservable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -182,6 +182,9 @@ pub fn train_qtn_vqc(
 
     let n = data.len();
     let mut order: Vec<usize> = (0..n).collect();
+    let adjoint = AdjointProgram::compile(model.circuit());
+    let mut obs = ZObservable::new(Vec::new());
+    let mut g = Gradients { expectation: 0.0, params: Vec::new(), features: Vec::new() };
     for _ in 0..config.epochs {
         for i in (1..n).rev() {
             let j = rng.random_range(0..=i);
@@ -193,14 +196,17 @@ pub fn train_qtn_vqc(
                 let x = &data.features[i];
                 let y = data.labels[i];
                 let (z, pre, angles) = layer.forward_full(x);
-                let logits = model.logits(&params, &angles);
-                let (_, dlogits) = cross_entropy(&logits, y);
-                let weights = model.observable_weights(&dlogits);
-                let g = adjoint_gradient(
-                    model.circuit(),
+                adjoint.run_adjoint_with(
                     &params,
                     &angles,
-                    &ZObservable::new(weights),
+                    &mut obs,
+                    |psi, obs| {
+                        let expectations = model.expectations_from_state(psi);
+                        let logits = model.logits_from_expectations(&expectations);
+                        let (_, dlogits) = cross_entropy(&logits, y);
+                        obs.reset_terms(model.observable_weights(&dlogits));
+                    },
+                    &mut g,
                 );
                 // dL/dangles flows into the classical factors.
                 let (du, dv) = layer.backward(x, &z, &pre, &g.features);

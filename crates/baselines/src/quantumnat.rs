@@ -11,7 +11,7 @@
 use elivagar_datasets::Split;
 use elivagar_ml::{cross_entropy, Adam, QuantumClassifier};
 use elivagar_sim::noise::CircuitNoise;
-use elivagar_sim::{adjoint_gradient, noisy_distribution_auto, ZObservable};
+use elivagar_sim::{noisy_distribution_auto, AdjointProgram, Gradients, ZObservable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -88,6 +88,9 @@ pub fn train_quantumnat(
 
     let n = data.len();
     let mut order: Vec<usize> = (0..n).collect();
+    let adjoint = AdjointProgram::compile_params_only(model.circuit());
+    let mut obs = ZObservable::new(Vec::new());
+    let mut g = Gradients { expectation: 0.0, params: Vec::new(), features: Vec::new() };
     for _ in 0..config.epochs {
         for i in (1..n).rev() {
             let j = rng.random_range(0..=i);
@@ -98,16 +101,24 @@ pub fn train_quantumnat(
             for &i in chunk {
                 let x = &data.features[i];
                 let y = data.labels[i];
-                // Inject Gaussian noise into the expectations (additive, so
-                // the backward path through the circuit is unchanged).
-                let mut expectations = model.expectations(&params, x);
-                for e in &mut expectations {
-                    *e += config.injection_std * standard_normal(&mut rng);
-                }
-                let logits = model.logits_from_expectations(&expectations);
-                let (_, dlogits) = cross_entropy(&logits, y);
-                let weights = model.observable_weights(&dlogits);
-                let g = adjoint_gradient(model.circuit(), &params, x, &ZObservable::new(weights));
+                adjoint.run_adjoint_with(
+                    &params,
+                    x,
+                    &mut obs,
+                    |psi, obs| {
+                        // Inject Gaussian noise into the expectations
+                        // (additive, so the backward path through the
+                        // circuit is unchanged).
+                        let mut expectations = model.expectations_from_state(psi);
+                        for e in &mut expectations {
+                            *e += config.injection_std * standard_normal(&mut rng);
+                        }
+                        let logits = model.logits_from_expectations(&expectations);
+                        let (_, dlogits) = cross_entropy(&logits, y);
+                        obs.reset_terms(model.observable_weights(&dlogits));
+                    },
+                    &mut g,
+                );
                 for (acc, gi) in grad.iter_mut().zip(&g.params) {
                     *acc += gi / chunk.len() as f64;
                 }

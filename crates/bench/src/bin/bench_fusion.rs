@@ -1,8 +1,9 @@
 //! Records the fused-block execution trajectory point
-//! (`BENCH_fusion.json`): forward-execute throughput with fusion on
-//! versus the passthrough per-instruction path, and the 32-sample
-//! adjoint minibatch gradient through the streamed adjoint versus the
-//! original walk-the-circuit pipeline.
+//! (`BENCH_fusion.json`): forward-execute throughput of the fused engine
+//! versus the per-instruction reference `StateVector::run` (one
+//! full-state sweep per instruction), and the 32-sample adjoint minibatch
+//! gradient through the streamed adjoint versus the original
+//! walk-the-circuit pipeline.
 //!
 //! Three forward workloads exercise the engine's distinct kernels at 14
 //! qubits (above `TILE_QUBITS`, so the cache-blocked executor engages):
@@ -11,7 +12,8 @@
 //! candidate. The gradient workload mirrors
 //! `minibatch_gradient_32samples` from `BENCH_runtime.json`; its
 //! baseline reimplements the pre-streaming hot path — forward execute
-//! for the loss, then [`adjoint_gradient_into`]'s second forward plus
+//! for the loss, then [`adjoint_gradient_into`]'s (the reference
+//! adjoint's) second forward plus
 //! three sweeps per parameter slot — against `batch_gradient`'s single
 //! streamed forward/backward pass. `scripts/verify.sh` gates on
 //! `gradient_speedup >= 2` and on `ranking_match`: the per-sample loss
@@ -24,10 +26,8 @@
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
 use elivagar_ml::{batch_gradient, cross_entropy, GradientMethod, QuantumClassifier};
 use elivagar_sim::parallel::par_map;
-use elivagar_sim::{
-    adjoint_gradient_into, fusion_enabled, set_fusion_enabled, Gradients, Program, ZObservable,
-    TILE_QUBITS,
-};
+use elivagar_sim::adjoint::reference::adjoint_gradient_into;
+use elivagar_sim::{Gradients, Program, StateVector, ZObservable, TILE_QUBITS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -52,13 +52,14 @@ struct ForwardWorkload {
     name: String,
     qubits: usize,
     instructions: usize,
-    /// Compiled op count with fusion on (coalesced blocks).
+    /// Compiled op count (coalesced fused blocks).
     fused_ops: usize,
     fused_median_ns: u64,
     unfused_median_ns: u64,
     speedup: f64,
     /// Nanoseconds per source instruction through the fused engine.
     fused_ns_per_gate: f64,
+    /// Nanoseconds per source instruction through `StateVector::run`.
     unfused_ns_per_gate: f64,
 }
 
@@ -144,21 +145,13 @@ fn time_reps(warmup: usize, reps: usize, mut f: impl FnMut()) -> u64 {
 }
 
 fn forward_workload(name: &str, circuit: &Circuit, params: &[f64], features: &[f64]) -> ForwardWorkload {
-    // The fusion flag is a process global that also gates the run-time
-    // re-fusion of resolved dynamic gates and the cache-blocked sweeps,
-    // so each engine mode is timed while globally active.
-    assert!(fusion_enabled());
     let fused = Program::compile(circuit);
     let fused_median_ns = time_reps(5, 40, || {
         black_box(fused.run_with(params, features, |psi| psi.expectation_z(0)));
     });
-
-    set_fusion_enabled(false);
-    let unfused = Program::compile(circuit);
     let unfused_median_ns = time_reps(5, 40, || {
-        black_box(unfused.run_with(params, features, |psi| psi.expectation_z(0)));
+        black_box(StateVector::run(circuit, params, features).expectation_z(0));
     });
-    set_fusion_enabled(true);
     let instructions = circuit.instructions().len();
     ForwardWorkload {
         name: name.into(),

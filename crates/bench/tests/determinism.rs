@@ -18,6 +18,7 @@
 use elivagar::config::{Nsga2Config, SearchConfig};
 use elivagar::generate::generate_candidate;
 use elivagar::{cnr, repcap, search};
+use elivagar_cache::ENGINE_SALT;
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
 use elivagar_datasets::moons;
 use elivagar_device::devices::ibm_lagos;
@@ -67,21 +68,25 @@ fn assert_bits(actual: f64, golden: u64, what: &str) {
     );
 }
 
+/// Golden loss of the adjoint batch gradient.
+const ADJOINT_LOSS_BITS: u64 = 0x3fe7e890d7f4e957;
+
+/// Golden parameter gradient of the adjoint batch gradient.
+const ADJOINT_GRAD_BITS: [u64; 6] = [
+    0x3fb0e3ec9e6ece8e,
+    0x3f901a42aaf73486,
+    0x3f825e33d9d86086,
+    0xbfb0d32fc1864376,
+    0xbd7655c100000000,
+    0xbfa8cd4a4aa5cf91,
+];
+
 /// Golden for the streamed-adjoint batch gradient (re-pinned when the
 /// fused-block engine replaced the per-instruction adjoint sweep; the
 /// shift is ULP-level, from fused unitaries and the vectorized one-pass
 /// bilinear gradient terms). Must hold at every thread count.
 #[test]
 fn adjoint_batch_gradient_bits_are_thread_count_invariant() {
-    const LOSS_BITS: u64 = 0x3fe7e890d7f4e957;
-    const GRAD_BITS: [u64; 6] = [
-        0x3fb0e3ec9e6ece8e,
-        0x3f901a42aaf73486,
-        0x3f825e33d9d86086,
-        0xbfb0d32fc1864376,
-        0xbd7655c100000000,
-        0xbfa8cd4a4aa5cf91,
-    ];
     let model = QuantumClassifier::new(golden_circuit(), 2);
     let (features, labels) = golden_batch();
     let g = batch_gradient(
@@ -91,18 +96,20 @@ fn adjoint_batch_gradient_bits_are_thread_count_invariant() {
         &labels,
         GradientMethod::Adjoint,
     );
-    assert_bits(g.loss, LOSS_BITS, "loss");
+    assert_bits(g.loss, ADJOINT_LOSS_BITS, "loss");
     assert_eq!(g.gradient.len(), 6);
-    for (i, (&gi, &bits)) in g.gradient.iter().zip(&GRAD_BITS).enumerate() {
+    for (i, (&gi, &bits)) in g.gradient.iter().zip(&ADJOINT_GRAD_BITS).enumerate() {
         assert_bits(gi, bits, &format!("gradient[{i}]"));
     }
 }
+
+/// Golden RepCap of the golden circuit.
+const REPCAP_BITS: u64 = 0x3fe541cc092a2ad1;
 
 /// Pre-runtime golden: batched RepCap must reproduce the original
 /// sequential per-sample loop bit-for-bit.
 #[test]
 fn repcap_bits_are_thread_count_invariant() {
-    const REPCAP_BITS: u64 = 0x3fe541cc092a2ad1;
     let mut cfg = SearchConfig::for_task(4, 6, 2, 2).fast();
     cfg.repcap_param_inits = 4;
     cfg.repcap_bases = 3;
@@ -112,11 +119,13 @@ fn repcap_bits_are_thread_count_invariant() {
     assert_bits(r.repcap, REPCAP_BITS, "repcap");
 }
 
+/// Golden CNR of a generated 4q candidate on ibm-lagos.
+const CNR_BITS: u64 = 0x3fefa82685dbe586;
+
 /// Post-runtime golden: exact CNR with replica fan-out and per-replica RNG
 /// streams split off the caller's generator.
 #[test]
 fn cnr_bits_are_thread_count_invariant() {
-    const CNR_BITS: u64 = 0x3fefa82685dbe586;
     let device = ibm_lagos();
     let cfg = SearchConfig::for_task(4, 12, 4, 2).fast();
     let mut rng = StdRng::seed_from_u64(11);
@@ -125,16 +134,18 @@ fn cnr_bits_are_thread_count_invariant() {
     assert_bits(r.cnr, CNR_BITS, "cnr");
 }
 
+/// Golden state-vector trajectory distribution.
+const TRAJECTORY_DIST_BITS: [u64; 4] = [
+    0x3fdb1055b8993922,
+    0x3fb3bea91d9b1b7b,
+    0x3fb3bea91d9b1b7b,
+    0x3fdb1055b8993922,
+];
+
 /// Post-runtime golden: state-vector Monte-Carlo trajectories with
 /// fixed-chunk parallel shots.
 #[test]
 fn trajectory_distribution_bits_are_thread_count_invariant() {
-    const DIST_BITS: [u64; 4] = [
-        0x3fdb1055b8993922,
-        0x3fb3bea91d9b1b7b,
-        0x3fb3bea91d9b1b7b,
-        0x3fdb1055b8993922,
-    ];
     let mut c = Circuit::new(2);
     c.push_gate(Gate::H, &[0], &[]);
     c.push_gate(Gate::Cx, &[0, 1], &[]);
@@ -144,20 +155,22 @@ fn trajectory_distribution_bits_are_thread_count_invariant() {
     // 100 trajectories spans three SHOT_CHUNKs plus a ragged tail.
     let dist = noisy_distribution(&c, &[], &[], &noise, 100, &mut rng);
     assert_eq!(dist.len(), 4);
-    for (i, (&d, &bits)) in dist.iter().zip(&DIST_BITS).enumerate() {
+    for (i, (&d, &bits)) in dist.iter().zip(&TRAJECTORY_DIST_BITS).enumerate() {
         assert_bits(d, bits, &format!("dist[{i}]"));
     }
 }
 
+/// Golden stabilizer trajectory distribution.
+const CLIFFORD_DIST_BITS: [u64; 4] = [
+    0x3fdce864020817fd,
+    0x3fa8bcdfefbf401d,
+    0x3fa8bcdfefbf401d,
+    0x3fdce864020817fd,
+];
+
 /// Post-runtime golden: stabilizer Monte-Carlo trajectories.
 #[test]
 fn clifford_trajectory_bits_are_thread_count_invariant() {
-    const DIST_BITS: [u64; 4] = [
-        0x3fdce864020817fd,
-        0x3fa8bcdfefbf401d,
-        0x3fa8bcdfefbf401d,
-        0x3fdce864020817fd,
-    ];
     let mut c = Circuit::new(2);
     c.push_gate(Gate::H, &[0], &[]);
     c.push_gate(Gate::Cx, &[0, 1], &[]);
@@ -166,10 +179,22 @@ fn clifford_trajectory_bits_are_thread_count_invariant() {
     let mut rng = StdRng::seed_from_u64(17);
     let dist = noisy_clifford_distribution(&c, &[], &[], &noise, 100, &mut rng).unwrap();
     assert_eq!(dist.len(), 4);
-    for (i, (&d, &bits)) in dist.iter().zip(&DIST_BITS).enumerate() {
+    for (i, (&d, &bits)) in dist.iter().zip(&CLIFFORD_DIST_BITS).enumerate() {
         assert_bits(d, bits, &format!("dist[{i}]"));
     }
 }
+
+/// Golden Pauli-frame distribution.
+const FRAME_DIST_BITS: [u64; 8] = [
+    0x3fc8d8ec95bff046,
+    0x3fac9c4da9003eeb,
+    0x3fac9c4da9003eeb,
+    0x3fc8d8ec95bff046,
+    0x3fc8d8ec95bff046,
+    0x3fac9c4da9003eeb,
+    0x3fac9c4da9003eeb,
+    0x3fc8d8ec95bff046,
+];
 
 /// Post-runtime golden: the bit-parallel Pauli-frame engine on a workload
 /// spanning multiple 64-lane blocks plus a ragged tail. The same call with
@@ -179,16 +204,6 @@ fn clifford_trajectory_bits_are_thread_count_invariant() {
 /// engine's exactness contract, pinned on a fixed workload.
 #[test]
 fn frame_engine_bits_are_thread_count_invariant() {
-    const DIST_BITS: [u64; 8] = [
-        0x3fc8d8ec95bff046,
-        0x3fac9c4da9003eeb,
-        0x3fac9c4da9003eeb,
-        0x3fc8d8ec95bff046,
-        0x3fc8d8ec95bff046,
-        0x3fac9c4da9003eeb,
-        0x3fac9c4da9003eeb,
-        0x3fc8d8ec95bff046,
-    ];
     let mut c = Circuit::new(5);
     c.push_gate(Gate::H, &[0], &[]);
     for q in 0..4 {
@@ -202,7 +217,7 @@ fn frame_engine_bits_are_thread_count_invariant() {
     let mut rng = StdRng::seed_from_u64(23);
     let dist = noisy_clifford_distribution(&c, &[], &[], &noise, 200, &mut rng).unwrap();
     assert_eq!(dist.len(), 8);
-    for (i, (&d, &bits)) in dist.iter().zip(&DIST_BITS).enumerate() {
+    for (i, (&d, &bits)) in dist.iter().zip(&FRAME_DIST_BITS).enumerate() {
         assert_bits(d, bits, &format!("frame dist[{i}]"));
     }
     // Cross-engine: the tableau reference reproduces the frame engine's
@@ -467,4 +482,35 @@ fn repeated_evaluations_are_bit_identical_in_process() {
         &mut StdRng::seed_from_u64(77),
     );
     assert_eq!(r1, r2);
+}
+
+/// Digest of every golden in this file together with the result cache's
+/// `ENGINE_SALT` (FNV-1a over their little-endian words; see
+/// [`goldens_are_pinned_to_the_engine_salt`]).
+const GOLDENS_AND_SALT_DIGEST: u64 = 0x7e07_d56f_9e37_62bb;
+
+/// Cached CNR/RepCap/routing results are keyed by `ENGINE_SALT`, so any
+/// change that moves a golden's bits must also bump the salt — otherwise
+/// a warm cache would keep serving the old engine's numbers. Re-pinning a
+/// golden changes this digest; re-pin [`GOLDENS_AND_SALT_DIGEST`] only in
+/// the same change that bumps `ENGINE_SALT`.
+#[test]
+fn goldens_are_pinned_to_the_engine_salt() {
+    let mut words = vec![ENGINE_SALT, ADJOINT_LOSS_BITS];
+    words.extend(ADJOINT_GRAD_BITS);
+    words.extend([REPCAP_BITS, CNR_BITS]);
+    words.extend(TRAJECTORY_DIST_BITS);
+    words.extend(CLIFFORD_DIST_BITS);
+    words.extend(FRAME_DIST_BITS);
+    words.extend([SEARCH_BEST_SCORE_BITS, GOLDEN_FUNNEL_CNR.0, GOLDEN_FUNNEL_CNR.1]);
+    words.extend([GOLDEN_FUNNEL_CNR.2, NSGA2_BEST_SCORE_BITS, NSGA2_FRONT_SIZE as u64]);
+    let digest = words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+    assert_eq!(
+        digest, GOLDENS_AND_SALT_DIGEST,
+        "goldens or ENGINE_SALT changed ({digest:#018x}): a re-pinned golden needs a bumped \
+         ENGINE_SALT, and both move together with this digest"
+    );
 }

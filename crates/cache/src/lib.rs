@@ -7,13 +7,15 @@
 //! same device. This crate memoizes those evaluations behind a
 //! [`CacheHandle`]:
 //!
+//! * [`durable`] — the checksummed, atomically renamed file format that
+//!   cache entries, search checkpoints and serve result files share
+//!   ([`write_checksummed`] / [`parse_checksummed`]).
 //! * [`key`] — canonical [`CacheKey`] fingerprints. A key covers every
 //!   input that can change the memoized bits, plus the [`ENGINE_SALT`]
 //!   version stamp, so a hit is *substitutable*: the cached payload is
 //!   bit-identical to what recomputation would produce.
 //! * [`store`] — the two-tier [`Cache`]: an in-memory LRU in front of a
-//!   persistent directory of CRC-footed entries written with the
-//!   checkpoint journal's atomic-write discipline. Any on-disk failure
+//!   persistent directory of CRC-footed entries. Any on-disk failure
 //!   mode (truncation, bit flip, stale engine salt, misfiled entry)
 //!   degrades to a counted recompute, never a wrong answer.
 //!
@@ -26,9 +28,11 @@
 //! (see `elivagar-obs`), satisfying `lookups = hits + misses`.
 
 pub mod codec;
+pub mod durable;
 pub mod key;
 pub mod store;
 
 pub use codec::{decode_cached_value, encode_cached_value};
+pub use durable::{crc32, parse_checksummed, write_checksummed, FooterError, WriteError};
 pub use key::{CacheKey, KeyBuilder, ENGINE_SALT};
-pub use store::{crc32, Cache, CacheError, CacheHandle, DEFAULT_MEMORY_ENTRIES};
+pub use store::{Cache, CacheError, CacheHandle, DEFAULT_MEMORY_ENTRIES};

@@ -1,13 +1,13 @@
 //! The two-tier store: an in-memory LRU over CRC-footed on-disk entries.
 //!
-//! Disk entries follow the checkpoint journal's atomic-write discipline
-//! (write temp, fsync, rename, fsync-dir) and its footer format — the
-//! body followed by one line holding the body's CRC32 in hex — so a
-//! reader sees either a complete entry or nothing. On *any* load failure
-//! (truncation, bit flip, unparseable header, engine-salt or key-echo
-//! mismatch) the entry is counted as `cache.corrupt_discarded`, deleted
-//! best-effort, and reported as a miss: corruption always degrades to a
-//! recompute, never to a wrong answer.
+//! Disk entries use the durable checksummed format of [`crate::durable`]
+//! (write temp, fsync, rename, fsync-dir; the body followed by one line
+//! holding the body's CRC32 in hex), so a reader sees either a complete
+//! entry or nothing. On *any* load failure (truncation, bit flip,
+//! unparseable header, engine-salt or key-echo mismatch) the entry is
+//! counted as `cache.corrupt_discarded`, deleted best-effort, and
+//! reported as a miss: corruption always degrades to a recompute, never
+//! to a wrong answer.
 //!
 //! The entry body is line-oriented:
 //!
@@ -23,12 +23,12 @@
 //! a mismatch against the reader's expectation (version drift, or a file
 //! placed under the wrong name) is treated exactly like corruption.
 
+use crate::durable::{parse_checksummed, write_checksummed};
 use crate::key::{CacheKey, ENGINE_SALT};
 use elivagar_obs::metrics;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -55,38 +55,6 @@ impl fmt::Display for CacheError {
 }
 
 impl std::error::Error for CacheError {}
-
-// ---- CRC32 (IEEE 802.3, reflected) -----------------------------------------
-
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC32 (IEEE) of a byte slice — the footer checksum shared by cache
-/// entries and checkpoint journals (re-exported by `elivagar::checkpoint`).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
 
 // ---- in-memory tier --------------------------------------------------------
 
@@ -262,41 +230,23 @@ fn entry_body(key: &CacheKey, salt: u64, payload: &[u8]) -> Vec<u8> {
     body
 }
 
-/// Atomically writes an entry with the checkpoint discipline: temp file,
-/// fsync, rename, best-effort directory fsync, CRC32 footer. `salt` is a
-/// parameter (rather than always [`ENGINE_SALT`]) so the corruption
-/// battery can fabricate stale-version entries through the real writer.
+/// Atomically writes an entry in the durable checksummed format (see
+/// [`crate::durable`]). `salt` is a parameter (rather than always
+/// [`ENGINE_SALT`]) so the corruption battery can fabricate stale-version
+/// entries through the real writer.
 pub fn write_entry(
     path: &Path,
     key: &CacheKey,
     salt: u64,
     payload: &[u8],
 ) -> std::io::Result<()> {
-    let body = entry_body(key, salt, payload);
-    let mut content = body;
-    let crc = crc32(&content);
-    content.extend_from_slice(format!("\n{crc:08x}\n").as_bytes());
-
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp{}", std::process::id()));
-    let tmp = PathBuf::from(tmp);
-    {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(&content)?;
-        file.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    let len = write_checksummed(path, &entry_body(key, salt, payload)).map_err(|e| e.source)?;
 
     // Chaos hook: simulate a torn write surviving the atomic protocol
     // (dishonest disk) by chopping the committed entry in half.
     if elivagar_sim::faultpoint::wants_truncation("cache::store", key.low64()) {
         let file = fs::OpenOptions::new().write(true).open(path)?;
-        file.set_len(content.len() as u64 / 2)?;
+        file.set_len(len / 2)?;
     }
     Ok(())
 }
@@ -304,16 +254,7 @@ pub fn write_entry(
 /// Validates and extracts the payload of one on-disk entry. `None` means
 /// the entry is corrupt, truncated, or from a different engine version.
 fn parse_entry(bytes: &[u8], expected: &CacheKey) -> Option<Vec<u8>> {
-    // Footer: last line is the CRC of everything before its preceding
-    // newline (same shape as checkpoint journals).
-    let stripped = bytes.strip_suffix(b"\n")?;
-    let footer_at = stripped.iter().rposition(|&b| b == b'\n')?;
-    let (body, footer) = stripped.split_at(footer_at);
-    let footer = std::str::from_utf8(&footer[1..]).ok()?;
-    let crc = u32::from_str_radix(footer.trim(), 16).ok()?;
-    if crc32(body) != crc {
-        return None;
-    }
+    let body = parse_checksummed(bytes).ok()?;
 
     // Header lines, then the exact payload byte count.
     let mut rest = body;

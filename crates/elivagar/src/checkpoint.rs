@@ -4,14 +4,11 @@
 //! process kill without losing completed work. [`run_search`] journals
 //! every finished per-candidate stage evaluation (CNR, RepCap — value,
 //! execution count, or quarantine reason) into a [`Journal`] and
-//! periodically persists it with [`save`]:
-//!
-//! 1. the serialized journal plus a CRC32 footer is written to a sibling
-//!    temp file,
-//! 2. the temp file is fsynced,
-//! 3. it is atomically renamed over the target path,
-//! 4. the parent directory is fsynced (best effort) so the rename itself
-//!    survives a crash.
+//! periodically persists it with [`save`] in the durable checksummed
+//! format of `elivagar_cache::durable`: the serialized journal plus a
+//! CRC32 footer goes to a sibling temp file, which is fsynced, atomically
+//! renamed over the target path, and followed by a best-effort fsync of
+//! the parent directory so the rename itself survives a crash.
 //!
 //! A reader therefore sees either the previous complete journal or the
 //! new complete journal — never a torn mix — and [`load`] verifies the
@@ -35,7 +32,6 @@ use crate::search::SearchStage;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs;
-use std::io::Write;
 use std::path::Path;
 
 /// Identity of the search a journal belongs to.
@@ -198,17 +194,12 @@ fn corrupt(path: &Path, reason: impl Into<String>) -> CheckpointError {
     }
 }
 
-// ---- CRC32 (IEEE 802.3, reflected) -----------------------------------------
-
-/// CRC32 (IEEE) of a byte slice — the footer checksum of checkpoint files,
-/// shared with the result cache's on-disk entries.
-pub use elivagar_cache::crc32;
-
 // ---- save / load -----------------------------------------------------------
 
-/// Atomically persists a journal: write-temp, fsync, rename, fsync-dir.
-/// The file body is the JSON journal followed by one footer line holding
-/// the CRC32 of the body in hex.
+/// Atomically persists a journal in the durable checksummed format
+/// (`elivagar_cache::write_checksummed`: write-temp, fsync, rename,
+/// fsync-dir). The file body is the JSON journal followed by one footer
+/// line holding the CRC32 of the body in hex.
 ///
 /// # Errors
 ///
@@ -222,27 +213,10 @@ pub fn save(path: &Path, journal: &Journal) -> Result<(), CheckpointError> {
         path: path.display().to_string(),
         reason: format!("journal failed to serialize: {e:?}"),
     })?;
-    let content = format!("{body}\n{:08x}\n", crc32(body.as_bytes()));
+    let len = elivagar_cache::write_checksummed(path, body.as_bytes())
+        .map_err(|e| io_err(&e.path, &e.source))?;
     elivagar_obs::metrics::CHECKPOINT_SAVES.add(1);
-    elivagar_obs::metrics::CHECKPOINT_BYTES.add(content.len() as u64);
-
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    {
-        let mut file = fs::File::create(&tmp).map_err(|e| io_err(&tmp, &e))?;
-        file.write_all(content.as_bytes())
-            .map_err(|e| io_err(&tmp, &e))?;
-        file.sync_all().map_err(|e| io_err(&tmp, &e))?;
-    }
-    fs::rename(&tmp, path).map_err(|e| io_err(path, &e))?;
-    // Make the rename itself durable. Directory fsync is advisory on some
-    // platforms, so failures are not fatal.
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    elivagar_obs::metrics::CHECKPOINT_BYTES.add(len);
 
     // Chaos hook: simulate a torn write that the atomic protocol failed to
     // prevent (e.g. a dishonest disk) by chopping the committed file.
@@ -251,8 +225,7 @@ pub fn save(path: &Path, journal: &Journal) -> Result<(), CheckpointError> {
             .write(true)
             .open(path)
             .map_err(|e| io_err(path, &e))?;
-        file.set_len(content.len() as u64 / 2)
-            .map_err(|e| io_err(path, &e))?;
+        file.set_len(len / 2).map_err(|e| io_err(path, &e))?;
     }
     sw.record(&elivagar_obs::metrics::CHECKPOINT_SAVE_NS);
     Ok(())
@@ -267,22 +240,12 @@ pub fn save(path: &Path, journal: &Journal) -> Result<(), CheckpointError> {
 /// the CRC32 does not match the body.
 pub fn load(path: &Path) -> Result<Journal, CheckpointError> {
     let text = fs::read_to_string(path).map_err(|e| io_err(path, &e))?;
-    let stripped = text
-        .strip_suffix('\n')
-        .ok_or_else(|| corrupt(path, "missing trailing newline (truncated write)"))?;
-    let (body, footer) = stripped
-        .rsplit_once('\n')
-        .ok_or_else(|| corrupt(path, "missing checksum footer"))?;
-    let expected = u32::from_str_radix(footer.trim(), 16)
-        .map_err(|_| corrupt(path, format!("unparseable checksum footer {footer:?}")))?;
-    let actual = crc32(body.as_bytes());
-    if actual != expected {
-        return Err(corrupt(
-            path,
-            format!("checksum mismatch: body {actual:08x} != footer {expected:08x}"),
-        ));
-    }
-    serde_json::from_str(body).map_err(|e| corrupt(path, format!("journal failed to parse: {e:?}")))
+    let body = elivagar_cache::parse_checksummed(text.as_bytes())
+        .map_err(|e| corrupt(path, e.to_string()))?;
+    // The body ends just before an ASCII newline, so it is a char-boundary
+    // prefix of the text.
+    serde_json::from_str(&text[..body.len()])
+        .map_err(|e| corrupt(path, format!("journal failed to parse: {e:?}")))
 }
 
 #[cfg(test)]
@@ -398,12 +361,5 @@ mod tests {
             j.lookup(SearchStage::Cnr, 0).unwrap().value_bits,
             Some(0.8125f64.to_bits())
         );
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC32 test vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 }

@@ -48,7 +48,7 @@ pub use generate::{
     candidate_edges, crossover_candidates, generate_candidate, mutate_candidate, Candidate,
 };
 pub use metrics::{entangling_capability, expressibility, meyer_wallach};
-pub use elivagar_cache::{Cache, CacheError, CacheHandle, CacheKey, KeyBuilder};
+pub use elivagar_cache::{durable, Cache, CacheError, CacheHandle, CacheKey, KeyBuilder};
 pub use elivagar_sim::CancelToken;
 pub use repcap::{repcap, RepCapResult};
 pub use search::{

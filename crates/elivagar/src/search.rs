@@ -125,6 +125,14 @@ impl fmt::Display for QuarantineEntry {
 /// Why a search could not produce a result.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SearchError {
+    /// The task needs more qubits than the device has, so no candidate
+    /// can be placed on it.
+    TaskTooLarge {
+        /// Qubits the task's circuits use ([`SearchConfig::num_qubits`]).
+        task_qubits: usize,
+        /// Qubits the device has.
+        device_qubits: usize,
+    },
     /// A device-unaware candidate was evaluated without routing; its
     /// physical circuit does not fit the device topology.
     UnroutedCandidate {
@@ -158,6 +166,10 @@ pub enum SearchError {
 impl fmt::Display for SearchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SearchError::TaskTooLarge { task_qubits, device_qubits } => write!(
+                f,
+                "task needs {task_qubits} qubits but the device has only {device_qubits}"
+            ),
             SearchError::UnroutedCandidate { index } => {
                 write!(f, "candidate {index} does not fit the device; route it first")
             }
@@ -465,6 +477,8 @@ fn commit_progress(
 ///
 /// # Errors
 ///
+/// * [`SearchError::TaskTooLarge`] — the task needs more qubits than the
+///   device has (returned before any work is done);
 /// * [`SearchError::UnroutedCandidate`] — a device-unaware candidate was
 ///   evaluated without routing (a configuration bug, not a transient
 ///   fault, so it is not quarantined);
@@ -519,6 +533,12 @@ pub fn run_search_with(
     options: &RunOptions,
     strategy: &mut dyn SearchStrategy,
 ) -> Result<SearchResult, SearchError> {
+    if config.num_qubits > device.num_qubits() {
+        return Err(SearchError::TaskTooLarge {
+            task_qubits: config.num_qubits,
+            device_qubits: device.num_qubits(),
+        });
+    }
     assert_eq!(config.num_classes, dataset.num_classes(), "class count mismatch");
     assert!(
         config.feature_dim <= dataset.feature_dim(),

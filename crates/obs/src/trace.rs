@@ -3,7 +3,7 @@
 //!
 //! # Recording model
 //!
-//! Every thread that opens a span lazily registers one [`ThreadBuf`]
+//! Every thread that opens a span lazily registers one `ThreadBuf`
 //! (a pre-allocated event vector plus a span stack) in a global registry.
 //! Recording locks only the thread's **own** buffer mutex — uncontended in
 //! steady state, so the cost is a couple of atomic operations — and never

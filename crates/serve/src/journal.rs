@@ -25,7 +25,7 @@
 //! power cut mid-write) by chopping the just-written line in half.
 
 use crate::job::{FailReason, JobSpec};
-use elivagar::checkpoint::crc32;
+use elivagar::durable::{crc32, parse_checksummed, write_checksummed};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::Write as _;
@@ -265,30 +265,17 @@ pub fn open(path: &Path) -> Result<(Vec<JobEvent>, JournalRecovered, JournalWrit
     Ok((events, recovered, writer))
 }
 
-/// Atomically writes a checksummed artifact (e.g. a job result file) with
-/// the same discipline as the search checkpoint: body + CRC32 footer line,
-/// write-temp, fsync, rename, fsync-dir.
+/// Atomically writes a checksummed artifact (e.g. a job result file) in
+/// the durable format the search checkpoint uses ([`write_checksummed`]:
+/// body + CRC32 footer line, write-temp, fsync, rename, fsync-dir).
 ///
 /// # Errors
 ///
 /// On filesystem failure; the target is never left torn.
 pub fn atomic_write_checksummed(path: &Path, body: &str) -> Result<(), JournalError> {
-    let content = format!("{body}\n{:08x}\n", crc32(body.as_bytes()));
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    {
-        let mut file = fs::File::create(&tmp).map_err(|e| err(&tmp, e))?;
-        file.write_all(content.as_bytes()).map_err(|e| err(&tmp, e))?;
-        file.sync_all().map_err(|e| err(&tmp, e))?;
-    }
-    fs::rename(&tmp, path).map_err(|e| err(path, e))?;
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    write_checksummed(path, body.as_bytes())
+        .map(drop)
+        .map_err(|e| err(&e.path, e.source))
 }
 
 /// Reads and verifies an artifact written by [`atomic_write_checksummed`],
@@ -300,22 +287,10 @@ pub fn atomic_write_checksummed(path: &Path, body: &str) -> Result<(), JournalEr
 /// are atomic wholes: a torn one is an error, not a recovery).
 pub fn read_checksummed(path: &Path) -> Result<String, JournalError> {
     let text = fs::read_to_string(path).map_err(|e| err(path, e))?;
-    let stripped = text
-        .strip_suffix('\n')
-        .ok_or_else(|| err(path, "missing trailing newline (truncated write)"))?;
-    let (body, footer) = stripped
-        .rsplit_once('\n')
-        .ok_or_else(|| err(path, "missing checksum footer"))?;
-    let expected = u32::from_str_radix(footer.trim(), 16)
-        .map_err(|_| err(path, format!("unparseable checksum footer {footer:?}")))?;
-    let actual = crc32(body.as_bytes());
-    if actual != expected {
-        return Err(err(
-            path,
-            format!("checksum mismatch: body {actual:08x} != footer {expected:08x}"),
-        ));
-    }
-    Ok(body.to_string())
+    let body = parse_checksummed(text.as_bytes()).map_err(|e| err(path, e))?;
+    // The body ends just before an ASCII newline, so it is a char-boundary
+    // prefix of the text.
+    Ok(text[..body.len()].to_string())
 }
 
 #[cfg(test)]

@@ -169,6 +169,31 @@ fn tenant_record_budget_exhaustion_fails_typed() {
 }
 
 #[test]
+fn task_larger_than_device_fails_typed_without_retries() {
+    let dir = scratch("too-large");
+    let mut daemon = Daemon::open(ServeConfig::new(&dir)).unwrap();
+    // mnist-10 needs 10 qubits; ibm-lagos has 7.
+    let mut job = small_job("wide", 0);
+    job.benchmark = "mnist-10".into();
+    job.device = "ibm-lagos".into();
+    daemon.submit(job).unwrap();
+    drain(&mut daemon);
+
+    let job = daemon.job("wide").unwrap();
+    match &job.state {
+        JobState::Failed(reason) => {
+            assert_eq!(reason.kind, FailKind::Search);
+            assert!(reason.detail.contains("10 qubits"), "{}", reason.detail);
+        }
+        other => panic!("expected a search failure, got {other:?}"),
+    }
+    assert_eq!(job.attempts, 0, "a typed search error is not retried");
+    assert_eq!(daemon.stats().retries, 0);
+    assert_eq!(daemon.stats().failed, 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn weighted_round_robin_interleaves_tenants_by_credit() {
     let dir = scratch("wrr");
     let mut config = ServeConfig::new(&dir);

@@ -12,7 +12,7 @@ use crate::engine;
 use crate::statevector::StateVector;
 use crate::workspace;
 use elivagar_circuit::math::{C64, Mat2, Mat4};
-use elivagar_circuit::{Circuit, Gate, Instruction, ParamExpr, ParamSource};
+use elivagar_circuit::{Circuit, Gate, ParamExpr, ParamSource};
 
 /// A weighted sum of single-qubit Pauli-Z terms, `O = sum_k w_k Z_{q_k}`.
 ///
@@ -207,149 +207,6 @@ fn dmat2(gate: elivagar_circuit::Gate, values: &[f64], slot: usize) -> Mat4 {
     Mat4(out)
 }
 
-/// Computes `<psi|O|psi>` and its gradient with respect to every trainable
-/// parameter and input feature by the adjoint method.
-///
-/// The same trainable index may appear in several gates (weight sharing, as
-/// in SuperCircuits); contributions accumulate.
-///
-/// # Panics
-///
-/// Panics if the circuit references out-of-range parameters/features, or if
-/// an observable qubit is out of range.
-pub fn adjoint_gradient(
-    circuit: &Circuit,
-    params: &[f64],
-    features: &[f64],
-    observable: &ZObservable,
-) -> Gradients {
-    let mut out = Gradients {
-        expectation: 0.0,
-        params: Vec::new(),
-        features: Vec::new(),
-    };
-    adjoint_gradient_into(circuit, params, features, observable, &mut out);
-    out
-}
-
-/// Resolves a gate's parameter expressions into a stack array (the hot
-/// path avoids the `Vec` that [`Instruction::resolve_params`] allocates).
-#[inline]
-fn resolve_stack(ins: &Instruction, params: &[f64], features: &[f64]) -> [f64; 3] {
-    let mut values = [0.0f64; 3];
-    for (v, e) in values.iter_mut().zip(&ins.params) {
-        *v = e.resolve(params, features);
-    }
-    values
-}
-
-/// [`adjoint_gradient`] writing into a caller-provided [`Gradients`].
-///
-/// All scratch states come from the per-thread [`workspace`] pools and the
-/// output vectors are cleared and refilled in place, so a warmed-up call
-/// performs no heap allocation. Results are bit-identical to
-/// [`adjoint_gradient`] (which is now a thin wrapper around this).
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`adjoint_gradient`].
-pub fn adjoint_gradient_into(
-    circuit: &Circuit,
-    params: &[f64],
-    features: &[f64],
-    observable: &ZObservable,
-    out: &mut Gradients,
-) {
-    // Forward pass, mirroring `StateVector::run` on recycled buffers.
-    let mut psi = if circuit.amplitude_embedding() {
-        workspace::acquire_embedded(circuit.num_qubits(), features)
-    } else {
-        workspace::acquire_zero(circuit.num_qubits())
-    };
-    for ins in circuit.instructions() {
-        let values = resolve_stack(ins, params, features);
-        if ins.gate.num_qubits() == 1 {
-            psi.apply_mat1(ins.qubits[0], &ins.gate.matrix1(&values[..ins.params.len()]));
-        } else {
-            psi.apply_mat2(
-                ins.qubits[0],
-                ins.qubits[1],
-                &ins.gate.matrix2(&values[..ins.params.len()]),
-            );
-        }
-    }
-
-    out.expectation = observable.expectation(&psi);
-    let mut lambda = workspace::acquire_copy(&psi);
-    observable.apply_in_place(&mut lambda);
-    out.params.clear();
-    out.params.resize(params.len(), 0.0);
-    out.features.clear();
-    out.features.resize(features.len(), 0.0);
-    let mut phi = workspace::acquire_copy(&psi);
-
-    for ins in circuit.instructions().iter().rev() {
-        let values = resolve_stack(ins, params, features);
-        let values = &values[..ins.params.len()];
-        // psi_{k-1} = U_k^dagger psi_k.
-        if ins.gate.num_qubits() == 1 {
-            let ud = ins.gate.matrix1(values).dagger();
-            psi.apply_mat1(ins.qubits[0], &ud);
-        } else {
-            let ud = ins.gate.matrix2(values).dagger();
-            psi.apply_mat2(ins.qubits[0], ins.qubits[1], &ud);
-        }
-        // Gradient terms: 2 Re <lambda_k | dU_k | psi_{k-1}>.
-        for (slot, expr) in ins.params.iter().enumerate() {
-            let mut sinks = [(SinkKind::Param(0), 0.0); 2];
-            let num_sinks = match expr.source {
-                ParamSource::Trainable(i) => {
-                    sinks[0] = (SinkKind::Param(i), expr.scale);
-                    1
-                }
-                ParamSource::Feature(i) => {
-                    sinks[0] = (SinkKind::Feature(i), expr.scale);
-                    1
-                }
-                ParamSource::FeatureProduct(i, j) => {
-                    sinks[0] = (SinkKind::Feature(i), expr.scale * features[j]);
-                    sinks[1] = (SinkKind::Feature(j), expr.scale * features[i]);
-                    2
-                }
-                ParamSource::Constant(_) => 0,
-            };
-            if num_sinks == 0 {
-                continue;
-            }
-            phi.copy_from(&psi);
-            if ins.gate.num_qubits() == 1 {
-                phi.apply_mat1(ins.qubits[0], &dmat1(ins.gate, values, slot));
-            } else {
-                phi.apply_mat2(ins.qubits[0], ins.qubits[1], &dmat2(ins.gate, values, slot));
-            }
-            let g = 2.0 * lambda.inner_product(&phi).re;
-            for &(sink, chain) in &sinks[..num_sinks] {
-                match sink {
-                    SinkKind::Param(i) => out.params[i] += g * chain,
-                    SinkKind::Feature(i) => out.features[i] += g * chain,
-                }
-            }
-        }
-        // lambda_{k-1} = U_k^dagger lambda_k.
-        if ins.gate.num_qubits() == 1 {
-            let ud = ins.gate.matrix1(values).dagger();
-            lambda.apply_mat1(ins.qubits[0], &ud);
-        } else {
-            let ud = ins.gate.matrix2(values).dagger();
-            lambda.apply_mat2(ins.qubits[0], ins.qubits[1], &ud);
-        }
-    }
-
-    workspace::release_state(phi);
-    workspace::release_state(lambda);
-    workspace::release_state(psi);
-}
-
 #[derive(Clone, Copy)]
 enum SinkKind {
     Param(usize),
@@ -478,7 +335,8 @@ impl AdjointProgram {
     ///
     /// After `prepare`, `out.expectation` is set to `<psi|O|psi>` for the
     /// (possibly updated) observable and `out.params` / `out.features`
-    /// receive the gradients, exactly as [`adjoint_gradient_into`].
+    /// receive the gradients, exactly as
+    /// [`reference::adjoint_gradient_into`].
     ///
     /// # Panics
     ///
@@ -645,8 +503,147 @@ fn accumulate_sinks(sinks: &[(SinkKind, f64)], g: f64, out: &mut Gradients) {
     }
 }
 
+/// The per-instruction reference adjoint: walks the circuit gate by gate,
+/// with no fusion, and forms each gradient term by materializing
+/// `dU |psi>` (three full state sweeps per parameter slot).
+///
+/// This is the differential oracle [`AdjointProgram`] is tested against,
+/// and the pre-streaming gradient baseline `bench_fusion` times. Library
+/// code differentiates through [`AdjointProgram`]. It stays
+/// allocation-free so the benchmark baseline measures the same work it
+/// always has.
+pub mod reference {
+    use super::{accumulate_sinks, classify_sinks, dmat1, dmat2, Gradients, SinkKind, ZObservable};
+    use crate::workspace;
+    use elivagar_circuit::{Circuit, Instruction};
+
+    /// Computes `<psi|O|psi>` and its gradient with respect to every trainable
+    /// parameter and input feature by the adjoint method.
+    ///
+    /// The same trainable index may appear in several gates (weight sharing, as
+    /// in SuperCircuits); contributions accumulate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit references out-of-range parameters/features, or if
+    /// an observable qubit is out of range.
+    pub fn adjoint_gradient(
+        circuit: &Circuit,
+        params: &[f64],
+        features: &[f64],
+        observable: &ZObservable,
+    ) -> Gradients {
+        let mut out = Gradients {
+            expectation: 0.0,
+            params: Vec::new(),
+            features: Vec::new(),
+        };
+        adjoint_gradient_into(circuit, params, features, observable, &mut out);
+        out
+    }
+
+    /// Resolves a gate's parameter expressions into a stack array (the hot
+    /// path avoids the `Vec` that [`Instruction::resolve_params`] allocates).
+    #[inline]
+    fn resolve_stack(ins: &Instruction, params: &[f64], features: &[f64]) -> [f64; 3] {
+        let mut values = [0.0f64; 3];
+        for (v, e) in values.iter_mut().zip(&ins.params) {
+            *v = e.resolve(params, features);
+        }
+        values
+    }
+
+    /// [`adjoint_gradient`] writing into a caller-provided [`Gradients`].
+    ///
+    /// All scratch states come from the per-thread [`workspace`] pools and the
+    /// output vectors are cleared and refilled in place, so a warmed-up call
+    /// performs no heap allocation. Results are bit-identical to
+    /// [`adjoint_gradient`] (a thin wrapper around this).
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`adjoint_gradient`].
+    pub fn adjoint_gradient_into(
+        circuit: &Circuit,
+        params: &[f64],
+        features: &[f64],
+        observable: &ZObservable,
+        out: &mut Gradients,
+    ) {
+        // Forward pass, mirroring `StateVector::run` on recycled buffers.
+        let mut psi = if circuit.amplitude_embedding() {
+            workspace::acquire_embedded(circuit.num_qubits(), features)
+        } else {
+            workspace::acquire_zero(circuit.num_qubits())
+        };
+        for ins in circuit.instructions() {
+            let values = resolve_stack(ins, params, features);
+            if ins.gate.num_qubits() == 1 {
+                psi.apply_mat1(ins.qubits[0], &ins.gate.matrix1(&values[..ins.params.len()]));
+            } else {
+                psi.apply_mat2(
+                    ins.qubits[0],
+                    ins.qubits[1],
+                    &ins.gate.matrix2(&values[..ins.params.len()]),
+                );
+            }
+        }
+
+        out.expectation = observable.expectation(&psi);
+        let mut lambda = workspace::acquire_copy(&psi);
+        observable.apply_in_place(&mut lambda);
+        out.params.clear();
+        out.params.resize(params.len(), 0.0);
+        out.features.clear();
+        out.features.resize(features.len(), 0.0);
+        let mut phi = workspace::acquire_copy(&psi);
+
+        for ins in circuit.instructions().iter().rev() {
+            let values = resolve_stack(ins, params, features);
+            let values = &values[..ins.params.len()];
+            // psi_{k-1} = U_k^dagger psi_k.
+            if ins.gate.num_qubits() == 1 {
+                let ud = ins.gate.matrix1(values).dagger();
+                psi.apply_mat1(ins.qubits[0], &ud);
+            } else {
+                let ud = ins.gate.matrix2(values).dagger();
+                psi.apply_mat2(ins.qubits[0], ins.qubits[1], &ud);
+            }
+            // Gradient terms: 2 Re <lambda_k | dU_k | psi_{k-1}>.
+            for (slot, expr) in ins.params.iter().enumerate() {
+                let mut sinks = [(SinkKind::Param(0), 0.0); 2];
+                let num_sinks = classify_sinks(expr, features, true, &mut sinks);
+                if num_sinks == 0 {
+                    continue;
+                }
+                phi.copy_from(&psi);
+                if ins.gate.num_qubits() == 1 {
+                    phi.apply_mat1(ins.qubits[0], &dmat1(ins.gate, values, slot));
+                } else {
+                    phi.apply_mat2(ins.qubits[0], ins.qubits[1], &dmat2(ins.gate, values, slot));
+                }
+                let g = 2.0 * lambda.inner_product(&phi).re;
+                accumulate_sinks(&sinks[..num_sinks], g, out);
+            }
+            // lambda_{k-1} = U_k^dagger lambda_k.
+            if ins.gate.num_qubits() == 1 {
+                let ud = ins.gate.matrix1(values).dagger();
+                lambda.apply_mat1(ins.qubits[0], &ud);
+            } else {
+                let ud = ins.gate.matrix2(values).dagger();
+                lambda.apply_mat2(ins.qubits[0], ins.qubits[1], &ud);
+            }
+        }
+
+        workspace::release_state(phi);
+        workspace::release_state(lambda);
+        workspace::release_state(psi);
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::adjoint_gradient;
     use super::*;
     use elivagar_circuit::{Circuit, Gate, ParamExpr};
 

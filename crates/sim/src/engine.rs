@@ -33,7 +33,6 @@ use crate::statevector::StateVector;
 use crate::workspace;
 use elivagar_circuit::math::{C64, Mat2, Mat4};
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Minimum qubit count at which single-state execution splits amplitude
 /// blocks across threads. Below this, per-op thread scoping costs more
@@ -45,35 +44,6 @@ pub const AMPLITUDE_PAR_MIN_QUBITS: usize = 16;
 /// tile-local fused op in a run is applied to them, turning k memory
 /// passes over the full state into one.
 pub const TILE_QUBITS: usize = 12;
-
-/// Process-wide fusion switch: 0 = unset (consult `ELIVAGAR_NO_FUSE`
-/// once), 1 = fusion on, 2 = fusion off.
-static FUSION_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether gate fusion and cache-blocked sweeps are enabled. Defaults to
-/// on; set the `ELIVAGAR_NO_FUSE` environment variable (to anything but
-/// `0` or empty) or call [`set_fusion_enabled`] to fall back to
-/// per-instruction full-state sweeps — the escape hatch behind the CLI's
-/// `--no-fuse` flag.
-pub fn fusion_enabled() -> bool {
-    match FUSION_MODE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = std::env::var_os("ELIVAGAR_NO_FUSE")
-                .is_none_or(|v| v.is_empty() || v == "0");
-            FUSION_MODE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Overrides the fusion switch (see [`fusion_enabled`]). Programs compile
-/// against the switch's value at [`Program::compile`]/[`Program::bind`]
-/// time; already-compiled programs keep their op streams.
-pub fn set_fusion_enabled(on: bool) {
-    FUSION_MODE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
 
 /// Tallies a batch dispatch and starts its wall-time stopwatch; callers
 /// file the elapsed time into `ENGINE_BATCH_NS` when the batch drains.
@@ -163,9 +133,6 @@ pub(crate) enum Item {
 pub(crate) struct Fuser {
     pub(crate) ops: Vec<Op>,
     pending: Vec<Option<Mat2>>,
-    /// When set (the `--no-fuse` escape hatch), every item is emitted as
-    /// its own op: no coalescing, no absorption, no identity dropping.
-    passthrough: bool,
 }
 
 impl Fuser {
@@ -174,7 +141,6 @@ impl Fuser {
         self.ops.clear();
         self.pending.clear();
         self.pending.resize(num_qubits, None);
-        self.passthrough = !fusion_enabled();
     }
 
     fn flush(&mut self, q: usize) {
@@ -186,15 +152,6 @@ impl Fuser {
     }
 
     pub(crate) fn push(&mut self, item: Item) {
-        if self.passthrough {
-            self.ops.push(match item {
-                Item::Static1(q, m) => Op::One { q, m },
-                Item::Static2(qa, qb, m) => Op::Two { qa, qb, m },
-                Item::Dyn1(q, gate, params) => Op::Dyn1 { q, gate, params },
-                Item::Dyn2(qa, qb, gate, params) => Op::Dyn2 { qa, qb, gate, params },
-            });
-            return;
-        }
         match item {
             Item::Static1(q, m) => {
                 self.pending[q] = Some(match self.pending[q].take() {
@@ -514,12 +471,11 @@ fn static_max_qubit(op: &Op) -> usize {
 /// tile-local, so results are bit-identical to per-op full sweeps at any
 /// thread count.
 ///
-/// States no larger than one tile (and the `--no-fuse` escape hatch) take
-/// the plain per-op path.
+/// States no larger than one tile take the plain per-op path.
 pub(crate) fn execute_static_ops(psi: &mut StateVector, ops: &[Op], parallel: bool) {
     elivagar_obs::metrics::ENGINE_FUSED_OPS.add(ops.len() as u64);
     let num_qubits = psi.num_qubits();
-    if num_qubits <= TILE_QUBITS || !fusion_enabled() {
+    if num_qubits <= TILE_QUBITS {
         for op in ops {
             apply_static_op(psi, op, parallel);
         }

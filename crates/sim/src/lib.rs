@@ -4,7 +4,10 @@
 //! crate provides everything those need, built from scratch:
 //!
 //! * [`StateVector`] — dense noiseless simulation (training, RepCap);
-//! * [`adjoint`] — O(1)-sweep gradients, the classical "backprop" analog;
+//! * [`adjoint`] — O(1)-sweep gradients, the classical "backprop" analog:
+//!   [`AdjointProgram`] compiles a circuit into fused blocks and streams
+//!   the backward sweep; [`adjoint::reference`] is the per-instruction
+//!   oracle it is tested against;
 //! * [`stabilizer`] + [`clifford`] — Aaronson–Gottesman tableau simulation
 //!   of Clifford circuits (the engine behind the CNR predictor);
 //! * [`noise`] — Pauli / damping / readout channel descriptions;
@@ -15,9 +18,6 @@
 //!   circuit once into fused kernels ([`Program::compile`]), bind a
 //!   parameter vector ([`Program::bind`]), then execute whole batches of
 //!   feature vectors ([`BoundProgram::run_batch`]);
-//! * [`backend`] — the [`Backend`] trait, one `run` / `expectations` /
-//!   `sample_counts` surface over the state-vector, density-matrix, and
-//!   trajectory simulators;
 //! * [`runtime`] + [`parallel`] — the persistent work-stealing thread
 //!   pool every parallel region dispatches through (sized by
 //!   `ELIVAGAR_THREADS`), with order-preserving [`parallel::par_map`]
@@ -25,8 +25,8 @@
 //!   results are bit-for-bit identical at any thread count;
 //! * [`workspace`] — per-thread arenas recycling state-vector and
 //!   scratch buffers, so the steady-state per-sample execute/gradient
-//!   path ([`Program::run_with`], [`adjoint_gradient_into`]) performs
-//!   zero heap allocations;
+//!   path ([`Program::run_with`], [`AdjointProgram::run_adjoint_with`])
+//!   performs zero heap allocations;
 //! * [`cancel`] — [`CancelToken`], the cooperative cancellation handle
 //!   long-running pipelines poll at slice/epoch boundaries (explicit
 //!   cancel or wall-clock deadline);
@@ -53,17 +53,6 @@
 //!    for large states). Results are bit-for-bit identical to running the
 //!    samples sequentially.
 //!
-//! # Migrating to the [`Backend`] trait
-//!
-//! Code that called `StateVector::run`, `DensityMatrix::run_noisy`, or
-//! `noisy_distribution` directly still works; the trait wraps those same
-//! engines behind one object-safe surface so callers can switch
-//! simulators (or accept `&dyn Backend`) without changing call sites:
-//! `StateVectorBackend.run(&circuit, &params, &features)` replaces
-//! `StateVector::run(&circuit, &params, &features)
-//!     .marginal_probabilities(circuit.measured())`, and hot loops should
-//! prefer the fused [`engine`] path.
-//!
 //! # Examples
 //!
 //! ```
@@ -80,7 +69,6 @@
 //! ```
 
 pub mod adjoint;
-pub mod backend;
 pub mod cancel;
 pub mod clifford;
 pub mod density;
@@ -96,13 +84,9 @@ pub mod statevector;
 pub mod trajectory;
 pub mod workspace;
 
-pub use adjoint::{adjoint_gradient, adjoint_gradient_into, AdjointProgram, Gradients, ZObservable};
-pub use backend::{
-    Backend, DensityMatrixBackend, StateVectorBackend, TrajectoryBackend,
-};
+pub use adjoint::{AdjointProgram, Gradients, ZObservable};
 pub use engine::{
-    fusion_enabled, par_items_with_arena, set_fusion_enabled, BoundProgram, MultiItem,
-    MultiProgram, Program, TILE_QUBITS,
+    par_items_with_arena, BoundProgram, MultiItem, MultiProgram, Program, TILE_QUBITS,
 };
 pub use cancel::CancelToken;
 pub use clifford::{lower_instruction, run_clifford, LowerCliffordError};

@@ -137,9 +137,9 @@ fn run_trajectory<R: Rng + ?Sized>(
 /// Monte-Carlo trajectories, including readout error.
 ///
 /// Shots run in parallel across the work-stealing pool in fixed
-/// [`SHOT_CHUNK`]-sized chunks; each shot draws from its own RNG stream
-/// split off `rng` by shot index ([`TaskSeeds`]), so the result does not
-/// depend on the thread count.
+/// `SHOT_CHUNK`-sized (32-shot) chunks; each shot draws from its own RNG
+/// stream split off `rng` by shot index ([`TaskSeeds`]), so the result
+/// does not depend on the thread count.
 ///
 /// # Panics
 ///

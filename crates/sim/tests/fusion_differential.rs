@@ -11,16 +11,18 @@
 //! 1. `Program::run` (fused, cache-blocked) and `StateVector::run`
 //!    (one naive sweep per instruction) — final amplitudes;
 //! 2. per-qubit `<Z>` expectations of the two states;
-//! 3. `AdjointProgram::gradient` (streamed, fused) and `adjoint_gradient`
-//!    (the original reference, which still walks the raw instruction
-//!    stream) — expectation, parameter gradients, feature gradients.
+//! 3. `AdjointProgram::gradient` (streamed, fused) and
+//!    `adjoint::reference::adjoint_gradient` (the per-instruction oracle,
+//!    which walks the raw instruction stream) — expectation, parameter
+//!    gradients, feature gradients.
 //!
 //! `scripts/verify.sh` reruns this binary at `ELIVAGAR_THREADS=1/2/4`;
 //! within one thread count the fused results are bit-deterministic, and
 //! across thread counts the determinism suite pins them exactly.
 
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
-use elivagar_sim::{adjoint_gradient, AdjointProgram, Program, StateVector, ZObservable};
+use elivagar_sim::adjoint::reference::adjoint_gradient;
+use elivagar_sim::{AdjointProgram, Program, StateVector, ZObservable};
 use proptest::prelude::*;
 
 const NUM_PARAMS: usize = 4;

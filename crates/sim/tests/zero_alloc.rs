@@ -2,8 +2,9 @@
 //!
 //! Search and training execute the same small circuits millions of times;
 //! the workspace arenas and recycled fusion scratch exist so that after a
-//! short warmup, `Program::run_with` and `adjoint_gradient_into` touch the
-//! heap **zero** times per sample. This test pins that property with a
+//! short warmup, `Program::run_with` and the reference adjoint
+//! (`adjoint::reference::adjoint_gradient_into`, the gradient baseline
+//! `bench_fusion` times) touch the heap **zero** times per sample. This test pins that property with a
 //! counting global allocator: any future change that sneaks a `Vec` or
 //! `clone` back onto the hot path fails here immediately.
 //!
@@ -15,8 +16,9 @@
 
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
 use elivagar_sim::trajectory::inject_pauli_tableau;
+use elivagar_sim::adjoint::reference::adjoint_gradient_into;
 use elivagar_sim::{
-    adjoint_gradient_into, lower_instruction, workspace, CircuitNoise, CliffordOp,
+    lower_instruction, workspace, CircuitNoise, CliffordOp,
     FrameSimulator, Gradients, PauliError, Program, TaskSeeds, ZObservable, FRAME_LANES,
 };
 use rand::rngs::StdRng;

@@ -35,6 +35,9 @@ run_counted() {
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --all-targets -- -D warnings
+# Doc links must resolve: a deleted or private item named in a doc comment
+# fails here instead of rendering as a dangling link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Telemetry must also build and pass with the feature compiled out (the
 # disabled path is part of the obs crate's API contract, not dead code).
@@ -113,13 +116,14 @@ if [ "$ranking_match" != "true" ]; then
   exit 1
 fi
 
-# Fused-block engine differential matrix: the ULP-bounded fused-vs-unfused
-# proptests, the --no-fuse escape hatch, and the zero-allocation
-# steady-state checks must hold at every pool size (the cache-blocked
-# sweeps and the re-fusion scratch are per-thread state).
+# Fused-block engine differential matrix: the ULP-bounded proptests
+# against the per-instruction oracles (`StateVector::run`, the reference
+# adjoint) and the zero-allocation steady-state checks must hold at every
+# pool size (the cache-blocked sweeps and the re-fusion scratch are
+# per-thread state).
 for t in 1 2 4; do
   ELIVAGAR_THREADS="$t" run_counted "fusion differential @ $t threads" \
-    cargo test -q -p elivagar-sim --test fusion_differential --test no_fuse --test zero_alloc_fusion
+    cargo test -q -p elivagar-sim --test fusion_differential --test zero_alloc_fusion
 done
 run_counted "baseline scoring cache roundtrip" \
   cargo test -q -p elivagar-baselines --test cache_roundtrip

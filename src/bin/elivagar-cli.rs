@@ -60,6 +60,8 @@ use elivagar_device::{all_devices, circuit_noise, device_by_name};
 use elivagar_ml::{accuracy, noisy_accuracy, train, QuantumClassifier, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::process::ExitCode;
 
 fn flag_value(args: &[String], name: &str) -> Option<String> {
@@ -69,14 +71,27 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
+/// Writes `text` to stdout and flushes it. A reader that closed the pipe
+/// early (`elivagar-cli devices | head -2`) wants no more output, so a
+/// broken pipe ends the command quietly and successfully.
+fn write_stdout(text: &str) -> ExitCode {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("failed writing to stdout: {e}");
+            ExitCode::FAILURE
+        }
+        _ => ExitCode::SUCCESS,
+    }
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  elivagar-cli search --benchmark <name> --device <name> \
          [--candidates N] [--params N] [--epochs N] [--seed N] \
          [--strategy oneshot|nsga2] [--population N] [--generations N] \
          [--train-batch N] [--train-topk R] \
-         [--checkpoint FILE] [--resume FILE] [--cache DIR] [--stats] [--trace-out FILE] \
-         [--no-fuse]\n  \
+         [--checkpoint FILE] [--resume FILE] [--cache DIR] [--stats] [--trace-out FILE]\n  \
          elivagar-cli submit --spool DIR --id NAME [--benchmark <name>] [--device <name>] \
          [--tenant NAME] [--priority N] [--candidates N] [--seed N] \
          [--train-size N] [--test-size N] [--epochs N] [--slice-records N] \
@@ -88,32 +103,30 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Escape hatch for the fused-block engine: execute programs one op per
-    // instruction (also reachable via ELIVAGAR_NO_FUSE=1). Must be set
-    // before the first compile.
-    if args.iter().any(|a| a == "--no-fuse") {
-        elivagar_sim::set_fusion_enabled(false);
-    }
     match args.first().map(String::as_str) {
         Some("devices") => {
+            let mut out = String::new();
             for d in all_devices() {
-                println!(
+                let _ = writeln!(
+                    out,
                     "{:<20} {:>4} qubits  median 2Q err {:.1e}",
                     d.name(),
                     d.num_qubits(),
                     d.calibration().median_gate2q_error()
                 );
             }
-            ExitCode::SUCCESS
+            write_stdout(&out)
         }
         Some("benchmarks") => {
+            let mut out = String::new();
             for b in BENCHMARKS {
-                println!(
+                let _ = writeln!(
+                    out,
                     "{:<10} {} classes, {} features, {} params, {} qubits",
                     b.name, b.classes, b.feature_dim, b.params, b.qubits
                 );
             }
-            ExitCode::SUCCESS
+            write_stdout(&out)
         }
         Some("search") => {
             let Some(bench_name) = flag_value(&args, "--benchmark") else {
@@ -282,17 +295,14 @@ fn main() -> ExitCode {
             let noisy = noisy_accuracy(&model, &params, dataset.test(), &noise, 60, &mut rng);
             eprintln!("test accuracy: {clean:.3} noiseless, {noisy:.3} under {} noise", device.name());
 
-            println!(
-                "// {} on {}: accuracy {:.3} (noiseless) / {:.3} (noisy)",
+            let printed = write_stdout(&format!(
+                "// {} on {}: accuracy {:.3} (noiseless) / {:.3} (noisy)\n{}\n",
                 bench_name,
                 device.name(),
                 clean,
-                noisy
-            );
-            println!(
-                "{}",
+                noisy,
                 to_qasm(&best.circuit, &params, &dataset.test().features[0])
-            );
+            ));
 
             if want_stats {
                 eprint!("{}", result.stats.render());
@@ -322,7 +332,7 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            ExitCode::SUCCESS
+            printed
         }
         Some("submit") => {
             let Some(spool) = flag_value(&args, "--spool") else {

@@ -1,11 +1,8 @@
 //! Umbrella crate re-exporting the Elivagar reproduction public API.
 pub use elivagar;
-// The execution pipeline most consumers want by name: the unified backend
-// trait, its three engines, and the fused batch-execution programs.
-pub use elivagar_sim::{
-    Backend, BoundProgram, DensityMatrixBackend, Program, StateVectorBackend,
-    TrajectoryBackend,
-};
+// The execution pipeline most consumers want by name: the fused
+// batch-execution programs.
+pub use elivagar_sim::{BoundProgram, Program};
 pub use elivagar_baselines as baselines;
 pub use elivagar_circuit as circuit;
 pub use elivagar_compiler as compiler;
