@@ -11,7 +11,7 @@
 use elivagar_datasets::Split;
 use elivagar_ml::{cross_entropy, Adam, QuantumClassifier};
 use elivagar_sim::noise::CircuitNoise;
-use elivagar_sim::{noisy_distribution_auto, AdjointProgram, Gradients, ZObservable};
+use elivagar_sim::{noisy_distribution_auto, AdjointProgram, BoundAdjoint, Gradients, ZObservable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -183,6 +183,7 @@ pub fn train_qtn_vqc(
     let n = data.len();
     let mut order: Vec<usize> = (0..n).collect();
     let adjoint = AdjointProgram::compile(model.circuit());
+    let mut bound = BoundAdjoint::default();
     let mut obs = ZObservable::new(Vec::new());
     let mut g = Gradients { expectation: 0.0, params: Vec::new(), features: Vec::new() };
     for _ in 0..config.epochs {
@@ -191,13 +192,13 @@ pub fn train_qtn_vqc(
             order.swap(i, j);
         }
         for chunk in order.chunks(config.batch_size) {
+            adjoint.bind_into(&params, &mut bound);
             let mut grad = vec![0.0; params.len() + layer.num_params()];
             for &i in chunk {
                 let x = &data.features[i];
                 let y = data.labels[i];
                 let (z, pre, angles) = layer.forward_full(x);
-                adjoint.run_adjoint_with(
-                    &params,
+                bound.run_adjoint_with(
                     &angles,
                     &mut obs,
                     |psi, obs| {

@@ -11,7 +11,7 @@
 use elivagar_datasets::Split;
 use elivagar_ml::{cross_entropy, Adam, QuantumClassifier};
 use elivagar_sim::noise::CircuitNoise;
-use elivagar_sim::{noisy_distribution_auto, AdjointProgram, Gradients, ZObservable};
+use elivagar_sim::{noisy_distribution_auto, AdjointProgram, BoundAdjoint, Gradients, ZObservable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -89,6 +89,7 @@ pub fn train_quantumnat(
     let n = data.len();
     let mut order: Vec<usize> = (0..n).collect();
     let adjoint = AdjointProgram::compile_params_only(model.circuit());
+    let mut bound = BoundAdjoint::default();
     let mut obs = ZObservable::new(Vec::new());
     let mut g = Gradients { expectation: 0.0, params: Vec::new(), features: Vec::new() };
     for _ in 0..config.epochs {
@@ -97,12 +98,12 @@ pub fn train_quantumnat(
             order.swap(i, j);
         }
         for chunk in order.chunks(config.batch_size) {
+            adjoint.bind_into(&params, &mut bound);
             let mut grad = vec![0.0; params.len()];
             for &i in chunk {
                 let x = &data.features[i];
                 let y = data.labels[i];
-                adjoint.run_adjoint_with(
-                    &params,
+                bound.run_adjoint_with(
                     x,
                     &mut obs,
                     |psi, obs| {

@@ -20,9 +20,12 @@ use elivagar::generate::generate_candidate;
 use elivagar::{cnr, repcap, search};
 use elivagar_cache::ENGINE_SALT;
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
-use elivagar_datasets::moons;
+use elivagar_datasets::{bank, moons};
+use elivagar_device::circuit_noise;
 use elivagar_device::devices::ibm_lagos;
-use elivagar_ml::{batch_gradient, GradientMethod, QuantumClassifier};
+use elivagar_ml::{
+    batch_gradient, noisy_accuracy, try_train, GradientMethod, QuantumClassifier, TrainConfig,
+};
 use elivagar_sim::{
     noisy_clifford_distribution, noisy_clifford_distribution_tableau, noisy_distribution,
     CircuitNoise,
@@ -484,16 +487,153 @@ fn repeated_evaluations_are_bit_identical_in_process() {
     assert_eq!(r1, r2);
 }
 
+/// A generated 4q ibm-lagos candidate (it acts on qubit 0) extended with
+/// the slot shapes the bind phase must treat differently: a mixed U3
+/// (trainable, feature and constant slots in one gate), a shared
+/// trainable index and a scaled one. Returns the classifier, its bank
+/// dataset and its device noise model.
+fn bound_golden_task() -> (QuantumClassifier, elivagar_datasets::Dataset, CircuitNoise) {
+    let device = ibm_lagos();
+    let cfg = SearchConfig::for_task(4, 10, 4, 2).fast();
+    let mut rng = StdRng::seed_from_u64(2);
+    let mut cand = generate_candidate(&device, &cfg, &mut rng);
+    let c = &mut cand.circuit;
+    c.push_gate(
+        Gate::U3,
+        &[0],
+        &[ParamExpr::trainable(0), ParamExpr::feature(1), ParamExpr::constant(0.3)],
+    );
+    c.push_gate(Gate::Crz, &[0, 1], &[ParamExpr::trainable(1)]);
+    c.push_gate(Gate::Ry, &[2], &[ParamExpr::trainable(1)]);
+    c.push_gate(Gate::Rz, &[0], &[ParamExpr::trainable(2).scaled(-0.5)]);
+    let noise = circuit_noise(&device, &cand.physical_circuit(&device)).expect("device-aware");
+    let dataset = bank(48, 24, 31).normalized(std::f64::consts::PI);
+    (QuantumClassifier::new(cand.circuit, 2), dataset, noise)
+}
+
+fn bound_golden_train_config() -> TrainConfig {
+    TrainConfig { epochs: 3, batch_size: 16, seed: 37, ..Default::default() }
+}
+
+/// Trained parameters and loss history of [`bound_golden_task`]
+/// (recorded before the adjoint bind phase existed).
+const BOUND_TRAIN_PARAM_BITS: [u64; 10] = [
+    0xc003cf61e2024c99,
+    0x3fc5395c72f9020d,
+    0x3ffbb4ef00605384,
+    0x3fffd6f28de01868,
+    0x3ffb3190b5ebd4e1,
+    0xbff5c09295d8616b,
+    0x4001ca71a133d4f3,
+    0xc0040042da9c1c4a,
+    0x40017ce80685397f,
+    0xbffbecd577668e51,
+];
+const BOUND_TRAIN_LOSS_BITS: [u64; 3] =
+    [0x3fe690bbb5d5d6b1, 0x3fe638e8383f5bd0, 0x3fe600b3f3b6855c];
+
+/// `try_train` with adjoint gradients binds θ once per minibatch; the
+/// trained parameters and losses must match the per-sample path's bits
+/// at every thread count.
+#[test]
+fn bound_try_train_bits_are_thread_count_invariant() {
+    let (model, dataset, _) = bound_golden_task();
+    let out = try_train(&model, dataset.train(), &bound_golden_train_config()).expect("trains");
+    assert_eq!(out.params.len(), BOUND_TRAIN_PARAM_BITS.len());
+    for (i, (&p, &bits)) in out.params.iter().zip(&BOUND_TRAIN_PARAM_BITS).enumerate() {
+        assert_bits(p, bits, &format!("trained param[{i}]"));
+    }
+    assert_eq!(out.loss_history.len(), BOUND_TRAIN_LOSS_BITS.len());
+    for (i, (&l, &bits)) in out.loss_history.iter().zip(&BOUND_TRAIN_LOSS_BITS).enumerate() {
+        assert_bits(l, bits, &format!("loss_history[{i}]"));
+    }
+}
+
+/// Noisy accuracy of the trained [`bound_golden_task`] classifier and the
+/// noisy distribution of its first test sample.
+const BOUND_NOISY_ACCURACY_BITS: u64 = 0x3fe4000000000000;
+const BOUND_NOISY_DIST_BITS: [u64; 2] = [0x3fdfe1fc7c54a076, 0x3fe00f01c1d5afc4];
+
+/// Noisy eval resolves gate matrices once per call and shares them across
+/// trajectories; the distribution and accuracy must keep their bits.
+#[test]
+fn bound_noisy_eval_bits_are_thread_count_invariant() {
+    let (model, dataset, noise) = bound_golden_task();
+    let params = try_train(&model, dataset.train(), &bound_golden_train_config())
+        .expect("trains")
+        .params;
+    let test = dataset.test();
+    let mut rng = StdRng::seed_from_u64(41);
+    let x = &test.features[0];
+    let dist = noisy_distribution(model.circuit(), &params, x, &noise, 60, &mut rng);
+    let mut rng = StdRng::seed_from_u64(43);
+    let acc = noisy_accuracy(&model, &params, test, &noise, 20, &mut rng);
+    assert_eq!(dist.len(), BOUND_NOISY_DIST_BITS.len());
+    for (i, (&d, &bits)) in dist.iter().zip(&BOUND_NOISY_DIST_BITS).enumerate() {
+        assert_bits(d, bits, &format!("noisy dist[{i}]"));
+    }
+    assert_bits(acc, BOUND_NOISY_ACCURACY_BITS, "noisy accuracy");
+}
+
+/// Amplitude-embedded 3q classifier: no gate reads a feature, so binding
+/// leaves no dynamic op and the bound forward stream is fused once.
+fn amplitude_golden_model() -> QuantumClassifier {
+    let mut c = Circuit::new(3);
+    c.set_amplitude_embedding(true);
+    c.push_gate(Gate::Ry, &[0], &[ParamExpr::trainable(0)]);
+    c.push_gate(Gate::Rx, &[1], &[ParamExpr::trainable(1)]);
+    c.push_gate(Gate::Cx, &[0, 1], &[]);
+    c.push_gate(
+        Gate::U3,
+        &[2],
+        &[ParamExpr::trainable(2), ParamExpr::constant(0.4), ParamExpr::trainable(3)],
+    );
+    c.push_gate(Gate::Crx, &[2, 0], &[ParamExpr::trainable(0).scaled(0.5)]);
+    c.push_gate(Gate::Rz, &[1], &[ParamExpr::trainable(4)]);
+    c.push_gate(Gate::Cz, &[1, 2], &[]);
+    c.push_gate(Gate::Ry, &[0], &[ParamExpr::trainable(4)]);
+    c.set_measured(vec![0, 2]);
+    QuantumClassifier::new(c, 2)
+}
+
+/// Loss and gradient of [`amplitude_golden_model`]'s adjoint batch
+/// gradient.
+const AMPLITUDE_LOSS_BITS: u64 = 0x3fe5f291bb122857;
+const AMPLITUDE_GRAD_BITS: [u64; 5] = [
+    0x3fb9b0853a63a7ef,
+    0x3d7018bd55555555,
+    0xbfc31de75f308b43,
+    0xbfbd755597312944,
+    0x3fbdafaa288ed7d3,
+];
+
+#[test]
+fn amplitude_embedded_gradient_bits_are_thread_count_invariant() {
+    let model = amplitude_golden_model();
+    let features: Vec<Vec<f64>> = (0..6)
+        .map(|i| (0..8).map(|k| ((i * 8 + k) as f64 * 0.37).sin() + 0.2).collect())
+        .collect();
+    let labels: Vec<usize> = (0..6).map(|i| i % 2).collect();
+    let params = [0.4, -1.1, 0.9, 2.2, -0.3];
+    let g = batch_gradient(&model, &params, &features, &labels, GradientMethod::Adjoint);
+    assert_bits(g.loss, AMPLITUDE_LOSS_BITS, "amplitude-embedded loss");
+    assert_eq!(g.gradient.len(), AMPLITUDE_GRAD_BITS.len());
+    for (i, (&gi, &bits)) in g.gradient.iter().zip(&AMPLITUDE_GRAD_BITS).enumerate() {
+        assert_bits(gi, bits, &format!("amplitude-embedded gradient[{i}]"));
+    }
+}
+
 /// Digest of every golden in this file together with the result cache's
 /// `ENGINE_SALT` (FNV-1a over their little-endian words; see
 /// [`goldens_are_pinned_to_the_engine_salt`]).
-const GOLDENS_AND_SALT_DIGEST: u64 = 0x7e07_d56f_9e37_62bb;
+const GOLDENS_AND_SALT_DIGEST: u64 = 0xe9d2_2231_d745_ac44;
 
 /// Cached CNR/RepCap/routing results are keyed by `ENGINE_SALT`, so any
 /// change that moves a golden's bits must also bump the salt — otherwise
 /// a warm cache would keep serving the old engine's numbers. Re-pinning a
 /// golden changes this digest; re-pin [`GOLDENS_AND_SALT_DIGEST`] only in
-/// the same change that bumps `ENGINE_SALT`.
+/// the same change that bumps `ENGINE_SALT`, or in one that adds a new
+/// golden recorded on the unchanged engine.
 #[test]
 fn goldens_are_pinned_to_the_engine_salt() {
     let mut words = vec![ENGINE_SALT, ADJOINT_LOSS_BITS];
@@ -504,6 +644,12 @@ fn goldens_are_pinned_to_the_engine_salt() {
     words.extend(FRAME_DIST_BITS);
     words.extend([SEARCH_BEST_SCORE_BITS, GOLDEN_FUNNEL_CNR.0, GOLDEN_FUNNEL_CNR.1]);
     words.extend([GOLDEN_FUNNEL_CNR.2, NSGA2_BEST_SCORE_BITS, NSGA2_FRONT_SIZE as u64]);
+    words.extend(BOUND_TRAIN_PARAM_BITS);
+    words.extend(BOUND_TRAIN_LOSS_BITS);
+    words.push(BOUND_NOISY_ACCURACY_BITS);
+    words.extend(BOUND_NOISY_DIST_BITS);
+    words.push(AMPLITUDE_LOSS_BITS);
+    words.extend(AMPLITUDE_GRAD_BITS);
     let digest = words
         .iter()
         .flat_map(|w| w.to_le_bytes())

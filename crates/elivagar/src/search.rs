@@ -133,6 +133,19 @@ pub enum SearchError {
         /// Qubits the device has.
         device_qubits: usize,
     },
+    /// The dataset does not fit the task: its class count differs from
+    /// [`SearchConfig::num_classes`], or it has fewer input features than
+    /// the circuits embed ([`SearchConfig::feature_dim`]).
+    DatasetMismatch {
+        /// Classes the task's classifiers predict.
+        task_classes: usize,
+        /// Classes the dataset labels.
+        dataset_classes: usize,
+        /// Input features the task's circuits embed.
+        task_features: usize,
+        /// Input features each dataset sample has.
+        dataset_features: usize,
+    },
     /// A device-unaware candidate was evaluated without routing; its
     /// physical circuit does not fit the device topology.
     UnroutedCandidate {
@@ -169,6 +182,17 @@ impl fmt::Display for SearchError {
             SearchError::TaskTooLarge { task_qubits, device_qubits } => write!(
                 f,
                 "task needs {task_qubits} qubits but the device has only {device_qubits}"
+            ),
+            SearchError::DatasetMismatch {
+                task_classes,
+                dataset_classes,
+                task_features,
+                dataset_features,
+            } => write!(
+                f,
+                "dataset does not fit the task: the task has {task_classes} classes and embeds \
+                 {task_features} features, the dataset has {dataset_classes} classes and \
+                 {dataset_features} features"
             ),
             SearchError::UnroutedCandidate { index } => {
                 write!(f, "candidate {index} does not fit the device; route it first")
@@ -411,7 +435,8 @@ impl PartialEq for SearchResult {
 ///
 /// Panics if the config is inconsistent with the dataset (class count or
 /// feature dimension mismatch), if a device-unaware candidate was not
-/// routed before evaluation, or if every candidate was quarantined. Use
+/// routed before evaluation, or if every candidate was quarantined — the
+/// typed errors [`run_search`] returns. Use
 /// [`run_search`] to handle those as typed [`SearchError`]s.
 pub fn search(device: &Device, dataset: &Dataset, config: &SearchConfig) -> SearchResult {
     run_search(device, dataset, config, &RunOptions::default()).unwrap_or_else(|e| panic!("{e}"))
@@ -479,6 +504,9 @@ fn commit_progress(
 ///
 /// * [`SearchError::TaskTooLarge`] — the task needs more qubits than the
 ///   device has (returned before any work is done);
+/// * [`SearchError::DatasetMismatch`] — the dataset's class count differs
+///   from the config's, or it has fewer features than the circuits embed
+///   (also returned before any work is done);
 /// * [`SearchError::UnroutedCandidate`] — a device-unaware candidate was
 ///   evaluated without routing (a configuration bug, not a transient
 ///   fault, so it is not quarantined);
@@ -488,11 +516,6 @@ fn commit_progress(
 ///   `resume_from` points at a corrupt or mismatched journal;
 /// * [`SearchError::Interrupted`] — the journal reached
 ///   [`RunOptions::stop_after_records`].
-///
-/// # Panics
-///
-/// Panics if the config is inconsistent with the dataset (class count or
-/// feature dimension mismatch).
 pub fn run_search(
     device: &Device,
     dataset: &Dataset,
@@ -539,11 +562,14 @@ pub fn run_search_with(
             device_qubits: device.num_qubits(),
         });
     }
-    assert_eq!(config.num_classes, dataset.num_classes(), "class count mismatch");
-    assert!(
-        config.feature_dim <= dataset.feature_dim(),
-        "config expects more features than the dataset has"
-    );
+    if config.num_classes != dataset.num_classes() || config.feature_dim > dataset.feature_dim() {
+        return Err(SearchError::DatasetMismatch {
+            task_classes: config.num_classes,
+            dataset_classes: dataset.num_classes(),
+            task_features: config.feature_dim,
+            dataset_features: dataset.feature_dim(),
+        });
+    }
 
     let _run_span = elivagar_obs::span!("search", candidates = config.num_candidates);
     let run_sw = elivagar_obs::metrics::Stopwatch::start();
@@ -1373,6 +1399,30 @@ mod tests {
                 assert!(quarantined.iter().all(|q| q.stage == SearchStage::RepCap));
             }
             other => panic!("unexpected error: {other}"),
+        }
+    }
+
+    #[test]
+    fn dataset_mismatch_is_typed_and_reported_before_any_work() {
+        let (device, dataset, config) = setup();
+        // moons has 2 classes and 2 features.
+        let mut three_classes = config.clone();
+        three_classes.num_classes = 3;
+        let mut wide = config;
+        wide.feature_dim = 5;
+        for (config, task_classes, task_features) in [(three_classes, 3, 2), (wide, 2, 5)] {
+            let err = run_search(&device, &dataset, &config, &RunOptions::default())
+                .expect_err("the dataset does not fit the task");
+            assert_eq!(
+                err,
+                SearchError::DatasetMismatch {
+                    task_classes,
+                    dataset_classes: 2,
+                    task_features,
+                    dataset_features: 2,
+                }
+            );
+            assert!(err.to_string().starts_with("dataset does not fit the task"), "{err}");
         }
     }
 

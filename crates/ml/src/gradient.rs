@@ -7,13 +7,12 @@
 //! executions through the parameter-shift rule — which is exactly why
 //! training-based QCS methods scale so poorly.
 
-use crate::loss::{cross_entropy, cross_entropy_into};
+use crate::loss::cross_entropy_into;
 use crate::model::QuantumClassifier;
 use elivagar_circuit::{Gate, ParamSource};
-use elivagar_sim::parallel::par_map;
 use elivagar_sim::{
-    par_items_with_arena, AdjointProgram, Gradients, MultiItem, MultiProgram, Program,
-    StateVector, ZObservable,
+    par_items_with_arena, AdjointProgram, BoundAdjoint, Gradients, MultiItem, MultiProgram,
+    Program, StateVector, ZObservable,
 };
 use std::cell::RefCell;
 use std::f64::consts::{FRAC_PI_2, SQRT_2};
@@ -88,14 +87,8 @@ fn weighted_expectation(
     })
 }
 
-/// Where a trainable parameter is used in the circuit.
-fn usage_sites(model: &QuantumClassifier, index: usize) -> Vec<(usize, f64)> {
-    let mut sites = Vec::new();
-    usage_sites_into(model, index, &mut sites);
-    sites
-}
-
-/// [`usage_sites`] into a caller-recycled buffer (cleared and refilled).
+/// Where a trainable parameter is used in the circuit, into a
+/// caller-recycled buffer (cleared and refilled).
 fn usage_sites_into(model: &QuantumClassifier, index: usize, sites: &mut Vec<(usize, f64)>) {
     sites.clear();
     for (i, ins) in model.circuit().instructions().iter().enumerate() {
@@ -109,60 +102,8 @@ fn usage_sites_into(model: &QuantumClassifier, index: usize, sites: &mut Vec<(us
     }
 }
 
-/// Loss and gradient for one sample by the parameter-shift rule (the
-/// hardware-accounting path). The forward pass and every shifted
-/// evaluation run the pre-compiled fused `program`.
-fn ps_sample_gradient(
-    model: &QuantumClassifier,
-    program: &Program,
-    params: &[f64],
-    features: &[f64],
-    label: usize,
-) -> (f64, Vec<f64>, u64) {
-    let expectations =
-        program.run_with(params, features, |psi| model.expectations_from_state(psi));
-    let logits = model.logits_from_expectations(&expectations);
-    let (loss, dlogits) = cross_entropy(&logits, label);
-    let weights = model.observable_weights(&dlogits);
-    let mut grad = vec![0.0; params.len()];
-    let mut executions = 1u64; // the forward pass
-    for (i, g) in grad.iter_mut().enumerate() {
-        let sites = usage_sites(model, i);
-        if sites.is_empty() {
-            continue;
-        }
-        let single_plain_site = sites.len() == 1
-            && (sites[0].1.abs() - 1.0).abs() < 1e-12
-            && shift_rule(model.circuit().instructions()[sites[0].0].gate).is_some();
-        if single_plain_site {
-            let gate = model.circuit().instructions()[sites[0].0].gate;
-            let rule = shift_rule(gate).expect("checked above");
-            let sign = sites[0].1; // +1 or -1
-            for &(shift, coeff) in rule {
-                let mut shifted = params.to_vec();
-                shifted[i] += sign * shift;
-                *g += sign * coeff * weighted_expectation(program, &shifted, features, &weights);
-                executions += 1;
-            }
-        } else {
-            // Shared or scaled parameter: central difference (still
-            // two executions, like a shift).
-            let h = 1e-4;
-            let mut plus = params.to_vec();
-            let mut minus = params.to_vec();
-            plus[i] += h;
-            minus[i] -= h;
-            let ep = weighted_expectation(program, &plus, features, &weights);
-            let em = weighted_expectation(program, &minus, features, &weights);
-            *g += (ep - em) / (2.0 * h);
-            executions += 2;
-        }
-    }
-    (loss, grad, executions)
-}
-
 /// Loss and gradient for one sample by the streamed adjoint: a single
-/// forward sweep through the fused [`AdjointProgram`], the classifier
+/// forward sweep through the [`BoundAdjoint`], the classifier
 /// loss and effective observable computed from the final state in the
 /// prepare hook, and one backward sweep accumulating every parameter's
 /// gradient. The gradient lands in `grad_out` (first `params.len()`
@@ -170,13 +111,12 @@ fn ps_sample_gradient(
 ///
 /// All intermediates live in the per-thread [`GRAD_SCRATCH`], so a
 /// warmed-up call performs no heap allocation. The solo
-/// ([`batch_gradient`]) and cohort ([`cohort_batch_gradients`]) paths both
-/// funnel through this function, so their per-sample float sequences are
-/// bit-for-bit identical.
+/// ([`batch_gradient`], `try_train`) and cohort
+/// ([`cohort_batch_gradients`]) paths both funnel through this function,
+/// so their per-sample float sequences are bit-for-bit identical.
 fn adjoint_sample_gradient(
     model: &QuantumClassifier,
-    adjoint: &AdjointProgram,
-    params: &[f64],
+    bound: &BoundAdjoint,
     features: &[f64],
     label: usize,
     grad_out: &mut [f64],
@@ -184,8 +124,7 @@ fn adjoint_sample_gradient(
     GRAD_SCRATCH.with(|cell| {
         let s = &mut *cell.borrow_mut();
         let GradScratch { expectations, logits, dlogits, weights, obs, g, .. } = s;
-        let loss = adjoint.run_adjoint_with(
-            params,
+        let loss = bound.run_adjoint_with(
             features,
             obs,
             |psi, obs| {
@@ -198,10 +137,107 @@ fn adjoint_sample_gradient(
             },
             g,
         );
-        grad_out[..params.len()].copy_from_slice(&g.params);
+        grad_out[..g.params.len()].copy_from_slice(&g.params);
         // One logical forward execution; gradients are free classically.
         (loss, 1)
     })
+}
+
+/// A model's gradient pipeline compiled once (per training attempt) and
+/// evaluated per minibatch into recycled buffers.
+///
+/// Each [`MinibatchGradient::compute`] binds θ once ([`GradientMethod::Adjoint`]),
+/// dispatches the minibatch's sample indices through the work-stealing
+/// pool (each sample writes its gradient into its own arena slice), and
+/// reduces the per-sample results sequentially in batch order — so the
+/// mean is bit-for-bit identical at any thread count, and with warmed
+/// buffers a minibatch performs no heap allocation.
+pub(crate) struct MinibatchGradient {
+    compiled: Compiled,
+    arena: Vec<f64>,
+    out: Vec<(f64, u64)>,
+    gradient: Vec<f64>,
+}
+
+enum Compiled {
+    Adjoint { program: AdjointProgram, bound: BoundAdjoint },
+    ParameterShift(Program),
+}
+
+impl MinibatchGradient {
+    /// Compiles `model`'s circuit for `method`.
+    pub(crate) fn new(model: &QuantumClassifier, method: GradientMethod) -> Self {
+        let compiled = match method {
+            // Classifier training only reads trainable gradients, so the
+            // backward sweep skips every data-embedding slot.
+            GradientMethod::Adjoint => Compiled::Adjoint {
+                program: AdjointProgram::compile_params_only(model.circuit()),
+                bound: BoundAdjoint::default(),
+            },
+            GradientMethod::ParameterShift => {
+                Compiled::ParameterShift(Program::compile(model.circuit()))
+            }
+        };
+        MinibatchGradient { compiled, arena: Vec::new(), out: Vec::new(), gradient: Vec::new() }
+    }
+
+    /// Mean loss and gradient at `params` over the samples
+    /// `features[batch[i]]` / `labels[batch[i]]`. Returns
+    /// `(loss, executions)`; the mean gradient is [`Self::gradient`].
+    pub(crate) fn compute(
+        &mut self,
+        model: &QuantumClassifier,
+        params: &[f64],
+        features: &[Vec<f64>],
+        labels: &[usize],
+        batch: &[usize],
+    ) -> (f64, u64) {
+        let stride = params.len().max(1);
+        self.arena.clear();
+        self.arena.resize(batch.len() * stride, 0.0);
+        match &mut self.compiled {
+            Compiled::Adjoint { program, bound } => {
+                program.bind_into(params, bound);
+                let bound = &*bound;
+                par_items_with_arena(batch.len(), &mut self.arena, stride, &mut self.out, |i, g| {
+                    let s = batch[i];
+                    adjoint_sample_gradient(model, bound, &features[s], labels[s], g)
+                });
+            }
+            Compiled::ParameterShift(program) => {
+                let program = &*program;
+                par_items_with_arena(batch.len(), &mut self.arena, stride, &mut self.out, |i, g| {
+                    let (x, y) = (&features[batch[i]], labels[batch[i]]);
+                    program.run_with(params, x, |psi| {
+                        ps_sample_gradient(model, program, params, x, y, psi, g)
+                    })
+                });
+            }
+        }
+        let mut loss = 0.0;
+        let mut executions = 0u64;
+        self.gradient.clear();
+        self.gradient.resize(params.len(), 0.0);
+        for (i, &(l, e)) in self.out.iter().enumerate() {
+            loss += l;
+            executions += e;
+            let g = &self.arena[i * stride..][..params.len()];
+            for (acc, gi) in self.gradient.iter_mut().zip(g) {
+                *acc += gi;
+            }
+        }
+        let n = batch.len() as f64;
+        loss /= n;
+        for g in &mut self.gradient {
+            *g /= n;
+        }
+        (loss, executions)
+    }
+
+    /// The mean gradient of the last [`Self::compute`].
+    pub(crate) fn gradient(&self) -> &[f64] {
+        &self.gradient
+    }
 }
 
 /// Mean loss and gradient over a batch of samples.
@@ -218,57 +254,14 @@ pub fn batch_gradient(
 ) -> BatchGradient {
     assert!(!features.is_empty(), "empty batch");
     assert_eq!(features.len(), labels.len(), "feature/label mismatch");
-    // Compile once per minibatch; every sweep in the batch reuses the fused
-    // kernel stream. Samples are independent, so they run in parallel;
-    // per-sample results come back in batch order and are reduced
-    // sequentially, keeping the mean bit-for-bit identical to the
-    // sequential loop.
-    let indices: Vec<usize> = (0..features.len()).collect();
-    let per_sample = match method {
-        GradientMethod::Adjoint => {
-            // Classifier training only reads trainable gradients, so the
-            // backward sweep skips every data-embedding slot.
-            let adjoint = AdjointProgram::compile_params_only(model.circuit());
-            par_map(&indices, |&i| {
-                let mut grad = vec![0.0; params.len()];
-                let (loss, executions) = adjoint_sample_gradient(
-                    model,
-                    &adjoint,
-                    params,
-                    &features[i],
-                    labels[i],
-                    &mut grad,
-                );
-                (loss, grad, executions)
-            })
-        }
-        GradientMethod::ParameterShift => {
-            let program = Program::compile(model.circuit());
-            par_map(&indices, |&i| {
-                ps_sample_gradient(model, &program, params, &features[i], labels[i])
-            })
-        }
-    };
-    let mut loss = 0.0;
-    let mut gradient = vec![0.0; params.len()];
-    let mut executions = 0u64;
-    for (l, g, e) in per_sample {
-        loss += l;
-        executions += e;
-        for (acc, gi) in gradient.iter_mut().zip(&g) {
-            *acc += gi;
-        }
-    }
-    let n = features.len() as f64;
-    loss /= n;
-    for g in &mut gradient {
-        *g /= n;
-    }
-    BatchGradient { loss, gradient, executions }
+    let batch: Vec<usize> = (0..features.len()).collect();
+    let mut minibatch = MinibatchGradient::new(model, method);
+    let (loss, executions) = minibatch.compute(model, params, features, labels, &batch);
+    BatchGradient { loss, gradient: minibatch.gradient, executions }
 }
 
-/// Per-worker scratch for the cohort gradient path: every intermediate the
-/// per-sample pipeline needs, recycled across calls so the steady state
+/// Per-worker scratch for the per-sample gradient paths: every
+/// intermediate they need, recycled across calls so the steady state
 /// allocates nothing.
 struct GradScratch {
     expectations: Vec<f64>,
@@ -283,6 +276,9 @@ struct GradScratch {
 }
 
 thread_local! {
+    /// Per-member bind targets of the adjoint cohort path, rebound on
+    /// every dispatch.
+    static COHORT_BOUND: RefCell<Vec<BoundAdjoint>> = const { RefCell::new(Vec::new()) };
     static GRAD_SCRATCH: RefCell<GradScratch> = RefCell::new(GradScratch {
         expectations: Vec::new(),
         logits: Vec::new(),
@@ -296,14 +292,14 @@ thread_local! {
     });
 }
 
-/// [`ps_sample_gradient`] for the fused cohort path: the forward state
-/// `psi` has already been produced by the multi-program dispatch, and the
-/// gradient is written into `grad_out` (the caller's arena slice) instead
-/// of a fresh vector. Every float op runs in the same order on the same
-/// values as [`ps_sample_gradient`], so the loss and gradient are
-/// bit-for-bit identical.
+/// Loss and gradient for one sample by the parameter-shift rule (the
+/// hardware-accounting path), given the sample's forward state `psi`:
+/// every shifted evaluation runs the pre-compiled fused `program`, and the
+/// gradient is written into `grad_out` (the caller's arena slice). Returns
+/// `(loss, executions)`. The solo and cohort paths both run through this
+/// function, so their float sequences are identical.
 #[allow(clippy::too_many_arguments)]
-fn ps_cohort_sample_gradient(
+fn ps_sample_gradient(
     model: &QuantumClassifier,
     program: &Program,
     params: &[f64],
@@ -373,10 +369,12 @@ fn ps_cohort_sample_gradient(
 /// `out` have grown to capacity the steady state performs no heap
 /// allocation (with [`GradientMethod::Adjoint`]).
 ///
-/// With [`GradientMethod::Adjoint`] each pair streams through its member's
-/// pre-compiled [`AdjointProgram`] (forward, loss hook, backward in one
-/// pass); with [`GradientMethod::ParameterShift`] the multi-program
-/// dispatch produces the forward states and shifted evaluations follow.
+/// With [`GradientMethod::Adjoint`] each member's pre-compiled
+/// [`AdjointProgram`] is bound to its current parameters once per
+/// dispatch, and each pair streams through its member's bound program
+/// (forward, loss hook, backward in one pass); with
+/// [`GradientMethod::ParameterShift`] the multi-program dispatch produces
+/// the forward states and shifted evaluations follow.
 /// Both run through the engine's work-stealing pool.
 ///
 /// # Panics
@@ -410,18 +408,20 @@ pub fn cohort_batch_gradients(
                 assert!((item.member as usize) < models.len(), "member out of range");
                 assert!((item.sample as usize) < features.len(), "sample out of range");
             }
+            // Rebind every member at its current θ; taken out of the
+            // thread-local so the buffers are recycled across dispatches.
+            let mut bound = COHORT_BOUND.take();
+            bound.resize_with(adjoints.len(), BoundAdjoint::default);
+            for ((program, b), p) in adjoints.iter().zip(bound.iter_mut()).zip(params) {
+                program.bind_into(p, b);
+            }
             par_items_with_arena(items.len(), arena, stride, out, |i, slice| {
                 let item = &items[i];
                 let m = item.member as usize;
-                adjoint_sample_gradient(
-                    &models[m],
-                    &adjoints[m],
-                    &params[m],
-                    &features[item.sample as usize],
-                    labels[item.sample as usize],
-                    slice,
-                )
+                let s = item.sample as usize;
+                adjoint_sample_gradient(&models[m], &bound[m], &features[s], labels[s], slice)
             });
+            COHORT_BOUND.set(bound);
         }
         GradientMethod::ParameterShift => {
             multi.batch_execute_multi(
@@ -433,7 +433,7 @@ pub fn cohort_batch_gradients(
                 out,
                 |_, item, psi, slice| {
                     let m = item.member as usize;
-                    ps_cohort_sample_gradient(
+                    ps_sample_gradient(
                         &models[m],
                         multi.program(m),
                         &params[m],

@@ -3,7 +3,7 @@
 //! optimizer state, and [`try_train`] retries from a fresh seed split with
 //! a backed-off step size before giving up.
 
-use crate::gradient::{batch_gradient, GradientMethod};
+use crate::gradient::{GradientMethod, MinibatchGradient};
 use crate::model::QuantumClassifier;
 use crate::optim::Adam;
 use elivagar_datasets::Split;
@@ -169,6 +169,9 @@ fn train_attempt(
     let mut params = init_params(model.num_params(), &mut rng);
     let mut opt = Adam::new(params.len(), learning_rate);
     let mut loss_history = Vec::with_capacity(config.epochs);
+    // Compiled once per attempt; every minibatch binds θ into its
+    // recycled buffers and indexes the split directly.
+    let mut minibatch = MinibatchGradient::new(model, config.method);
 
     let n = data.len();
     let mut order: Vec<usize> = (0..n).collect();
@@ -184,11 +187,9 @@ fn train_attempt(
         let mut epoch_loss = 0.0;
         let mut batches = 0usize;
         for chunk in order.chunks(config.batch_size) {
-            let features: Vec<Vec<f64>> =
-                chunk.iter().map(|&i| data.features[i].clone()).collect();
-            let labels: Vec<usize> = chunk.iter().map(|&i| data.labels[i]).collect();
-            let bg = batch_gradient(model, &params, &features, &labels, config.method);
-            *executions += bg.executions;
+            let (batch_loss, batch_executions) =
+                minibatch.compute(model, &params, &data.features, &data.labels, chunk);
+            *executions += batch_executions;
             if let Some(budget) = config.max_executions {
                 if *executions > budget {
                     return Err(AttemptFailure::Budget {
@@ -202,12 +203,14 @@ fn train_attempt(
             let loss = elivagar_sim::faultpoint::poison(
                 "train::batch",
                 ((attempt as u64) << 48) | batch_counter,
-                bg.loss,
+                batch_loss,
             );
             batch_counter += 1;
             // Guardrail: never let a non-finite step into the optimizer —
             // Adam's moment estimates would stay poisoned forever.
-            if !loss.is_finite() || !bg.is_finite() {
+            let finite =
+                batch_loss.is_finite() && minibatch.gradient().iter().all(|g| g.is_finite());
+            if !loss.is_finite() || !finite {
                 return Err(AttemptFailure::NonFinite {
                     epoch,
                     message: format!(
@@ -215,7 +218,7 @@ fn train_attempt(
                     ),
                 });
             }
-            opt.step(&mut params, &bg.gradient);
+            opt.step(&mut params, minibatch.gradient());
             epoch_loss += loss;
             batches += 1;
         }

@@ -1,12 +1,12 @@
-//! Steady-state allocation audit for the batched cohort training path.
+//! Steady-state allocation audit for the solo and cohort training paths.
 //!
 //! The search engine trains its whole top-k cohort through
-//! `cohort_batch_gradients` thousands of times per run; the arena, the
-//! recycled output vector, and the thread-local gradient scratch exist so
-//! that after a short warmup the fused dispatch → per-member reduce →
-//! optimizer step loop touches the heap **zero** times per minibatch.
-//! This test pins that property with a counting global allocator, for
-//! both gradient methods.
+//! `cohort_batch_gradients` thousands of times per run, and every winner
+//! trains solo through `try_train`; the bind targets, arenas, recycled
+//! output vectors, and the thread-local gradient scratch exist so that
+//! after a short warmup the bind → dispatch → reduce → optimizer step loop
+//! touches the heap **zero** times per minibatch. This test pins that
+//! property with a counting global allocator, for both gradient methods.
 //!
 //! `ELIVAGAR_THREADS=1` is set before the first pool use so the dispatch
 //! runs inline on the test thread (a multi-worker dispatch allocates its
@@ -16,7 +16,11 @@
 //! pool.
 
 use elivagar_circuit::{Circuit, Gate, ParamExpr};
-use elivagar_ml::{cohort_batch_gradients, init_params, Adam, GradientMethod, QuantumClassifier};
+use elivagar_datasets::Split;
+use elivagar_ml::{
+    cohort_batch_gradients, init_params, try_train, Adam, GradientMethod, QuantumClassifier,
+    TrainConfig,
+};
 use elivagar_sim::{AdjointProgram, MultiItem, MultiProgram};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,10 +84,45 @@ fn layered_model(qubits: usize, layers: usize) -> QuantumClassifier {
 }
 
 #[test]
-fn steady_state_cohort_minibatch_does_not_allocate() {
+fn steady_state_minibatches_do_not_allocate() {
     // Must happen before the first pool use anywhere in this process.
     std::env::set_var(elivagar_sim::runtime::THREADS_ENV, "1");
+    solo_try_train_minibatches_do_not_allocate();
+    cohort_minibatches_do_not_allocate();
+}
 
+/// Solo `try_train`: each attempt allocates while it sets up (parameter
+/// draw, optimizer, compile, first-use buffers); every minibatch after
+/// that binds θ and dispatches into recycled storage. So a run with six
+/// times the minibatches allocates exactly as often as a short one.
+fn solo_try_train_minibatches_do_not_allocate() {
+    let model = layered_model(3, 2);
+    let split = Split {
+        features: (0..16).map(|i| vec![0.1 * i as f64 - 0.8, 0.05 * i as f64]).collect(),
+        labels: (0..16).map(|i| i % 2).collect(),
+    };
+    for method in [GradientMethod::Adjoint, GradientMethod::ParameterShift] {
+        let allocations = |epochs: usize| {
+            let config = TrainConfig { epochs, batch_size: 4, method, ..Default::default() };
+            let before = thread_allocations();
+            let outcome = try_train(&model, &split, &config).expect("healthy run");
+            let delta = thread_allocations() - before;
+            assert!(outcome.loss_history.iter().all(|l| l.is_finite()));
+            delta
+        };
+        // Warm the thread-local workspaces and scratch.
+        allocations(2);
+        let short = allocations(2);
+        let long = allocations(12);
+        assert_eq!(
+            long, short,
+            "solo try_train ({method:?}): 40 extra minibatches allocated {} times",
+            long as i64 - short as i64
+        );
+    }
+}
+
+fn cohort_minibatches_do_not_allocate() {
     let models = [layered_model(2, 1), layered_model(3, 2), layered_model(2, 2)];
     let multi = MultiProgram::compile(models.iter().map(|m| m.circuit()));
     let adjoints: Vec<AdjointProgram> =

@@ -298,6 +298,15 @@ mod tests {
     use super::*;
     use crate::job::{FailKind, FailReason, JobSpec};
 
+    /// The `serve::journal_append` faultpoint is process-global: while the
+    /// faultpoint test has it armed, any other test's third append would
+    /// tear too. Every test that appends holds this lock.
+    static APPEND_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial_appends() -> std::sync::MutexGuard<'static, ()> {
+        APPEND_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn scratch(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("elivagar-serve-journal-{}-{name}", std::process::id()));
@@ -325,6 +334,7 @@ mod tests {
 
     #[test]
     fn events_round_trip_through_the_journal() {
+        let _serial = serial_appends();
         let path = scratch("roundtrip");
         let (_, _, mut writer) = open(&path).unwrap();
         for event in sample_events() {
@@ -348,6 +358,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped_and_reported() {
+        let _serial = serial_appends();
         let path = scratch("torn");
         let (_, _, mut writer) = open(&path).unwrap();
         for event in sample_events() {
@@ -366,6 +377,7 @@ mod tests {
 
     #[test]
     fn bit_flip_drops_the_line_and_everything_after() {
+        let _serial = serial_appends();
         let path = scratch("bitflip");
         let (_, _, mut writer) = open(&path).unwrap();
         for event in sample_events() {
@@ -388,6 +400,7 @@ mod tests {
 
     #[test]
     fn open_truncates_the_torn_tail_so_appends_stay_clean() {
+        let _serial = serial_appends();
         let path = scratch("truncate-on-open");
         let (_, _, mut writer) = open(&path).unwrap();
         for event in &sample_events()[..2] {
@@ -424,6 +437,7 @@ mod tests {
     #[cfg(feature = "fault-injection")]
     #[test]
     fn torn_append_faultpoint_is_recovered_on_reopen() {
+        let _serial = serial_appends();
         use elivagar_sim::faultpoint::{self, FaultKind};
         let path = scratch("faultpoint-tear");
         faultpoint::disarm_all();

@@ -8,11 +8,13 @@
 //! sweeps instead of the O(P) circuit executions of the parameter-shift
 //! rule.
 
-use crate::engine;
+use crate::engine::{self, Slots};
 use crate::statevector::StateVector;
 use crate::workspace;
 use elivagar_circuit::math::{C64, Mat2, Mat4};
 use elivagar_circuit::{Circuit, Gate, ParamExpr, ParamSource};
+use std::cell::RefCell;
+use std::ops::Range;
 
 /// A weighted sum of single-qubit Pauli-Z terms, `O = sum_k w_k Z_{q_k}`.
 ///
@@ -213,15 +215,31 @@ enum SinkKind {
     Feature(usize),
 }
 
-/// One operation of a compiled adjoint program: fused static blocks carry
-/// their dagger precomputed (the backward pass reuses it on both `psi` and
-/// `lambda`), parametric gates stay symbolic and act as fusion barriers.
+/// One operation of an adjoint program's backward sweep. Static blocks
+/// and θ-bound gates carry their dagger precomputed (the backward pass
+/// applies it to both `psi` and `lambda`); gates still holding symbolic
+/// slots act as fusion barriers and resolve per sample.
 #[derive(Clone, Debug)]
 enum AdjOp {
-    One { q: usize, md: Mat2 },
-    Two { qa: usize, qb: usize, md: Mat4 },
-    Dyn1 { q: usize, gate: Gate, params: Vec<ParamExpr> },
-    Dyn2 { qa: usize, qb: usize, gate: Gate, params: Vec<ParamExpr> },
+    /// A fused static block (`derivs` empty) or a bound trainable-only
+    /// gate; `derivs` indexes its gradient slots in
+    /// [`BoundAdjoint::derivs1`].
+    One { q: usize, md: Mat2, derivs: Range<usize> },
+    /// The two-qubit sibling of [`AdjOp::One`], indexing
+    /// [`BoundAdjoint::derivs2`].
+    Two { qa: usize, qb: usize, md: Mat4, derivs: Range<usize> },
+    Dyn1 { q: usize, gate: Gate, params: Slots },
+    Dyn2 { qa: usize, qb: usize, gate: Gate, params: Slots },
+}
+
+/// One trainable slot of a bound gate: the gate's derivative with respect
+/// to the slot's angle and where (with which chain-rule scale) the
+/// gradient term lands.
+#[derive(Clone, Debug)]
+struct Deriv<M> {
+    param: usize,
+    scale: f64,
+    dm: M,
 }
 
 /// A circuit compiled for streamed adjoint differentiation.
@@ -235,9 +253,13 @@ enum AdjOp {
 /// materializing `dU |psi>` — three full state sweeps per parameter slot
 /// collapse into one.
 ///
-/// Compile once per circuit, then call [`AdjointProgram::run_adjoint_with`]
-/// (or the [`AdjointProgram::gradient_into`] convenience) per sample; a
-/// warmed-up call performs no heap allocation.
+/// Compile once per circuit, then [`bind_into`](AdjointProgram::bind_into)
+/// once per parameter vector and run [`BoundAdjoint::run_adjoint_with`]
+/// per sample: binding resolves every gate that reads only trainable
+/// parameters (its matrix, dagger and per-slot derivatives) once, so the
+/// per-sample sweeps only resolve gates that read input features.
+/// [`AdjointProgram::run_adjoint_with`] binds and runs in one call. A
+/// warmed-up call of either performs no heap allocation.
 #[derive(Clone, Debug)]
 pub struct AdjointProgram {
     num_qubits: usize,
@@ -263,6 +285,11 @@ pub struct AdjointProgram {
     feature_grads: bool,
 }
 
+thread_local! {
+    /// Recycled bind target of the unbound [`AdjointProgram::run_adjoint_with`].
+    static BIND_SCRATCH: RefCell<BoundAdjoint> = RefCell::default();
+}
+
 impl AdjointProgram {
     /// Fuses a circuit into a streamed-adjoint program differentiating
     /// every trainable parameter and input feature.
@@ -285,9 +312,11 @@ impl AdjointProgram {
         let forward = engine::fuse(circuit.num_qubits(), items);
         let ops: Vec<AdjOp> = forward
             .iter()
-            .map(|op| match op.clone() {
-                engine::Op::One { q, m } => AdjOp::One { q, md: m.dagger() },
-                engine::Op::Two { qa, qb, m } => AdjOp::Two { qa, qb, md: m.dagger() },
+            .map(|op| match *op {
+                engine::Op::One { q, m } => AdjOp::One { q, md: m.dagger(), derivs: 0..0 },
+                engine::Op::Two { qa, qb, m } => {
+                    AdjOp::Two { qa, qb, md: m.dagger(), derivs: 0..0 }
+                }
                 engine::Op::Dyn1 { q, gate, params } => AdjOp::Dyn1 { q, gate, params },
                 engine::Op::Dyn2 { qa, qb, gate, params } => AdjOp::Dyn2 { qa, qb, gate, params },
             })
@@ -323,6 +352,142 @@ impl AdjointProgram {
         self.num_qubits
     }
 
+    /// Binds trainable parameters into `bound`, reusing its buffers.
+    ///
+    /// Every gate whose slots read only trainable parameters and constants
+    /// becomes a static op carrying its matrix, its dagger and one
+    /// derivative matrix per trainable slot. Gates with a data slot stay
+    /// symbolic. Bound ops keep their positions and stay unfused, so the
+    /// per-sample forward re-fusion sees exactly the items it would have
+    /// resolved itself; only when no symbolic op remains (e.g. amplitude
+    /// embedding) is the forward stream fused here, once, as the
+    /// per-sample pass would have fused it. Results are therefore
+    /// bit-identical to resolving every gate per sample.
+    pub fn bind_into(&self, params: &[f64], bound: &mut BoundAdjoint) {
+        bound.num_qubits = self.num_qubits;
+        bound.amplitude_embedding = self.amplitude_embedding;
+        bound.stop = self.stop;
+        bound.feature_grads = self.feature_grads;
+        bound.params.clear();
+        bound.params.extend_from_slice(params);
+        bound.forward.clear();
+        bound.ops.clear();
+        bound.derivs1.clear();
+        bound.derivs2.clear();
+        for (fwd, op) in self.forward.iter().zip(&self.ops) {
+            match op {
+                AdjOp::Dyn1 { q, gate, params: exprs } if !exprs.reads_data() => {
+                    let values = engine::resolve_values(exprs, params, &[]);
+                    let values = &values[..exprs.len()];
+                    let m = gate.matrix1(values);
+                    let first = bound.derivs1.len();
+                    for (slot, expr) in exprs.iter().enumerate() {
+                        if let ParamSource::Trainable(i) = expr.source {
+                            let dm = dmat1(*gate, values, slot);
+                            bound.derivs1.push(Deriv { param: i, scale: expr.scale, dm });
+                        }
+                    }
+                    bound.forward.push(engine::Op::One { q: *q, m });
+                    let derivs = first..bound.derivs1.len();
+                    bound.ops.push(AdjOp::One { q: *q, md: m.dagger(), derivs });
+                }
+                AdjOp::Dyn2 { qa, qb, gate, params: exprs } if !exprs.reads_data() => {
+                    let values = engine::resolve_values(exprs, params, &[]);
+                    let values = &values[..exprs.len()];
+                    let m = gate.matrix2(values);
+                    let first = bound.derivs2.len();
+                    for (slot, expr) in exprs.iter().enumerate() {
+                        if let ParamSource::Trainable(i) = expr.source {
+                            let dm = dmat2(*gate, values, slot);
+                            bound.derivs2.push(Deriv { param: i, scale: expr.scale, dm });
+                        }
+                    }
+                    bound.forward.push(engine::Op::Two { qa: *qa, qb: *qb, m });
+                    let derivs = first..bound.derivs2.len();
+                    bound.ops.push(AdjOp::Two { qa: *qa, qb: *qb, md: m.dagger(), derivs });
+                }
+                _ => {
+                    bound.forward.push(fwd.clone());
+                    bound.ops.push(op.clone());
+                }
+            }
+        }
+        let was_dynamic = self.forward.iter().any(engine::Op::is_dynamic);
+        if was_dynamic && !bound.forward.iter().any(engine::Op::is_dynamic) {
+            engine::refuse_static(&mut bound.forward, self.num_qubits);
+        }
+    }
+
+    /// One streamed adjoint pass at `params`: binds into a recycled
+    /// per-thread [`BoundAdjoint`] and runs
+    /// [`BoundAdjoint::run_adjoint_with`]. Callers that run many samples
+    /// at one parameter vector should bind once themselves instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit references out-of-range parameters/features,
+    /// or if an observable qubit is out of range.
+    pub fn run_adjoint_with<T>(
+        &self,
+        params: &[f64],
+        features: &[f64],
+        observable: &mut ZObservable,
+        prepare: impl FnOnce(&StateVector, &mut ZObservable) -> T,
+        out: &mut Gradients,
+    ) -> T {
+        // Taken out (not borrowed) so a `prepare` hook that itself runs
+        // an adjoint pass cannot hit a live borrow.
+        let mut bound = BIND_SCRATCH.take();
+        self.bind_into(params, &mut bound);
+        let result = bound.run_adjoint_with(features, observable, prepare, out);
+        BIND_SCRATCH.set(bound);
+        result
+    }
+
+    /// Streamed-adjoint gradient into a caller-provided [`Gradients`]
+    /// (the fixed-observable convenience over
+    /// [`AdjointProgram::run_adjoint_with`]).
+    pub fn gradient_into(
+        &self,
+        params: &[f64],
+        features: &[f64],
+        observable: &ZObservable,
+        out: &mut Gradients,
+    ) {
+        let mut obs = observable.clone();
+        self.run_adjoint_with(params, features, &mut obs, |_, _| (), out);
+    }
+
+    /// Allocating convenience wrapper over [`AdjointProgram::gradient_into`].
+    pub fn gradient(&self, params: &[f64], features: &[f64], observable: &ZObservable) -> Gradients {
+        let mut out = Gradients {
+            expectation: 0.0,
+            params: Vec::new(),
+            features: Vec::new(),
+        };
+        self.gradient_into(params, features, observable, &mut out);
+        out
+    }
+}
+
+/// An [`AdjointProgram`] with its trainable parameters bound (see
+/// [`AdjointProgram::bind_into`]); runs the streamed adjoint per sample.
+/// `Default` gives an empty bind target whose buffers grow on first use
+/// and are reused by every later bind.
+#[derive(Clone, Debug, Default)]
+pub struct BoundAdjoint {
+    num_qubits: usize,
+    amplitude_embedding: bool,
+    stop: usize,
+    feature_grads: bool,
+    params: Vec<f64>,
+    forward: Vec<engine::Op>,
+    ops: Vec<AdjOp>,
+    derivs1: Vec<Deriv<Mat2>>,
+    derivs2: Vec<Deriv<Mat4>>,
+}
+
+impl BoundAdjoint {
     /// One streamed adjoint pass with a caller hook between the forward
     /// sweep and the backward sweep.
     ///
@@ -340,17 +505,17 @@ impl AdjointProgram {
     ///
     /// # Panics
     ///
-    /// Panics if the circuit references out-of-range parameters/features,
-    /// or if an observable qubit is out of range.
+    /// Panics if the circuit references out-of-range features, or if an
+    /// observable qubit is out of range.
     pub fn run_adjoint_with<T>(
         &self,
-        params: &[f64],
         features: &[f64],
         observable: &mut ZObservable,
         prepare: impl FnOnce(&StateVector, &mut ZObservable) -> T,
         out: &mut Gradients,
     ) -> T {
         let parallel = self.num_qubits >= engine::AMPLITUDE_PAR_MIN_QUBITS;
+        let params = &self.params[..];
         // Forward pass: the exact `Program::run` execution — fused blocks,
         // angles-known re-fusion of dynamic stretches, cache-blocked
         // sweeps — so the state handed to `prepare` is bit-identical to a
@@ -380,19 +545,33 @@ impl AdjointProgram {
             }
             let last = idx == self.stop;
             match op {
-                AdjOp::One { q, md, .. } => {
+                AdjOp::One { q, md, derivs } => {
+                    // psi_{k-1} = U_k^dagger psi_k.
                     engine::apply_fused1(&mut psi, *q, md, parallel);
-                    engine::apply_fused1(&mut lambda, *q, md, parallel);
+                    for d in &self.derivs1[derivs.clone()] {
+                        // 2 Re <lambda_k | dU_k | psi_{k-1}> in one pass.
+                        let g = 2.0 * lambda.bilinear_mat1(&psi, *q, &d.dm);
+                        out.params[d.param] += g * d.scale;
+                    }
+                    // lambda_{k-1} = U_k^dagger lambda_k.
+                    if !last {
+                        engine::apply_fused1(&mut lambda, *q, md, parallel);
+                    }
                 }
-                AdjOp::Two { qa, qb, md, .. } => {
+                AdjOp::Two { qa, qb, md, derivs } => {
                     engine::apply_fused2(&mut psi, *qa, *qb, md, parallel);
-                    engine::apply_fused2(&mut lambda, *qa, *qb, md, parallel);
+                    for d in &self.derivs2[derivs.clone()] {
+                        let g = 2.0 * lambda.bilinear_mat2(&psi, *qa, *qb, &d.dm);
+                        out.params[d.param] += g * d.scale;
+                    }
+                    if !last {
+                        engine::apply_fused2(&mut lambda, *qa, *qb, md, parallel);
+                    }
                 }
                 AdjOp::Dyn1 { q, gate, params: exprs } => {
                     let values = engine::resolve_values(exprs, params, features);
                     let values = &values[..exprs.len()];
                     let ud = gate.matrix1(values).dagger();
-                    // psi_{k-1} = U_k^dagger psi_k.
                     engine::apply_fused1(&mut psi, *q, &ud, parallel);
                     for (slot, expr) in exprs.iter().enumerate() {
                         let mut sinks = [(SinkKind::Param(0), 0.0); 2];
@@ -401,11 +580,9 @@ impl AdjointProgram {
                         if num_sinks == 0 {
                             continue;
                         }
-                        // 2 Re <lambda_k | dU_k | psi_{k-1}> in one pass.
                         let g = 2.0 * lambda.bilinear_mat1(&psi, *q, &dmat1(*gate, values, slot));
                         accumulate_sinks(&sinks[..num_sinks], g, out);
                     }
-                    // lambda_{k-1} = U_k^dagger lambda_k.
                     if !last {
                         engine::apply_fused1(&mut lambda, *q, &ud, parallel);
                     }
@@ -436,31 +613,6 @@ impl AdjointProgram {
         workspace::release_state(lambda);
         workspace::release_state(psi);
         result
-    }
-
-    /// Streamed-adjoint gradient into a caller-provided [`Gradients`]
-    /// (the fixed-observable convenience over
-    /// [`AdjointProgram::run_adjoint_with`]).
-    pub fn gradient_into(
-        &self,
-        params: &[f64],
-        features: &[f64],
-        observable: &ZObservable,
-        out: &mut Gradients,
-    ) {
-        let mut obs = observable.clone();
-        self.run_adjoint_with(params, features, &mut obs, |_, _| (), out);
-    }
-
-    /// Allocating convenience wrapper over [`AdjointProgram::gradient_into`].
-    pub fn gradient(&self, params: &[f64], features: &[f64], observable: &ZObservable) -> Gradients {
-        let mut out = Gradients {
-            expectation: 0.0,
-            params: Vec::new(),
-            features: Vec::new(),
-        };
-        self.gradient_into(params, features, observable, &mut out);
-        out
     }
 }
 
@@ -873,6 +1025,88 @@ mod tests {
         assert!((seen - params[0].cos()).abs() < 1e-10);
         assert!((out.expectation - reference.expectation).abs() < 1e-12);
         assert!((out.params[0] - reference.params[0]).abs() < 1e-10);
+    }
+
+    /// Feature, trainable, mixed (trainable + feature + constant), shared
+    /// and scaled slots, on qubit 0 and above.
+    fn mixed_slot_circuit() -> Circuit {
+        let mut c = Circuit::new(3);
+        c.push_gate(Gate::Rx, &[0], &[ParamExpr::feature(0)]);
+        c.push_gate(Gate::Ry, &[0], &[ParamExpr::trainable(0)]);
+        c.push_gate(Gate::Crz, &[0, 2], &[ParamExpr::trainable(1)]);
+        c.push_gate(Gate::Cx, &[1, 0], &[]);
+        c.push_gate(
+            Gate::U3,
+            &[1],
+            &[ParamExpr::trainable(2), ParamExpr::feature(1), ParamExpr::constant(0.2)],
+        );
+        c.push_gate(Gate::Rzz, &[2, 1], &[ParamExpr::trainable(0).scaled(-0.5)]);
+        c.push_gate(Gate::Ry, &[2], &[ParamExpr::trainable(3)]);
+        c.push_gate(Gate::Rx, &[0], &[ParamExpr::trainable(1)]);
+        c
+    }
+
+    fn gradient_bits(g: &Gradients) -> (u64, Vec<u64>, Vec<u64>) {
+        (
+            g.expectation.to_bits(),
+            g.params.iter().map(|v| v.to_bits()).collect(),
+            g.features.iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
+    #[test]
+    fn rebinding_recycled_storage_matches_fresh_binds_bitwise() {
+        let c = mixed_slot_circuit();
+        let obs = ZObservable::new(vec![(0, 0.5), (2, -1.25)]);
+        let program = AdjointProgram::compile(&c);
+        let mut recycled = BoundAdjoint::default();
+        for params in [[0.3, -0.8, 1.2, 0.5], [-1.1, 0.4, 2.0, -0.6]] {
+            program.bind_into(&params, &mut recycled);
+            let mut fresh = BoundAdjoint::default();
+            program.bind_into(&params, &mut fresh);
+            // Bound ops keep their positions: a data gate remains, so the
+            // forward stream is not fused at bind time.
+            assert_eq!(recycled.forward.len(), program.forward.len());
+            for features in [[0.7, -0.2], [-0.4, 1.3]] {
+                let mut a = Gradients { expectation: 0.0, params: vec![], features: vec![] };
+                let mut b = a.clone();
+                recycled.run_adjoint_with(&features, &mut obs.clone(), |_, _| (), &mut a);
+                fresh.run_adjoint_with(&features, &mut obs.clone(), |_, _| (), &mut b);
+                let unbound = program.gradient(&params, &features, &obs);
+                assert_eq!(gradient_bits(&a), gradient_bits(&b));
+                assert_eq!(gradient_bits(&a), gradient_bits(&unbound));
+                let reference = adjoint_gradient(&c, &params, &features, &obs);
+                let ours = a.params.iter().chain(&a.features);
+                for (s, r) in ours.zip(reference.params.iter().chain(&reference.features)) {
+                    assert!((s - r).abs() < 1e-10, "bound {s} vs reference {r}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn binding_without_data_gates_fuses_the_forward_stream_once() {
+        let mut c = Circuit::new(2);
+        c.set_amplitude_embedding(true);
+        c.push_gate(Gate::Ry, &[0], &[ParamExpr::trainable(0)]);
+        c.push_gate(Gate::Rx, &[1], &[ParamExpr::trainable(1)]);
+        c.push_gate(Gate::Cx, &[0, 1], &[]);
+        c.push_gate(Gate::Rz, &[0], &[ParamExpr::trainable(0).scaled(2.0)]);
+        let program = AdjointProgram::compile_params_only(&c);
+        let params = [0.4, -1.3];
+        let mut bound = BoundAdjoint::default();
+        program.bind_into(&params, &mut bound);
+        assert!(!bound.forward.iter().any(engine::Op::is_dynamic));
+        assert!(bound.forward.len() < program.forward.len(), "bound forward is fused");
+        let features = [0.6, 0.0, 0.0, 0.8];
+        let obs = ZObservable::new(vec![(0, 1.0), (1, -0.5)]);
+        let mut g = Gradients { expectation: 0.0, params: vec![], features: vec![] };
+        bound.run_adjoint_with(&features, &mut obs.clone(), |_, _| (), &mut g);
+        let reference = adjoint_gradient(&c, &params, &features, &obs);
+        assert!((g.expectation - reference.expectation).abs() < 1e-12);
+        for (s, r) in g.params.iter().zip(&reference.params) {
+            assert!((s - r).abs() < 1e-10, "bound {s} vs reference {r}");
+        }
     }
 
     #[test]

@@ -56,6 +56,41 @@ fn record_batch(samples: usize) -> elivagar_obs::metrics::Stopwatch {
 /// Tolerance used to drop fused unitaries that collapsed to the identity.
 const IDENTITY_TOL: f64 = 1e-14;
 
+/// The angle slots of one parametric gate, stored inline (no gate takes
+/// more than three parameters), so copying an op never touches the heap.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Slots {
+    len: u8,
+    exprs: [ParamExpr; 3],
+}
+
+impl Slots {
+    /// Copies a gate's parameter expressions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than three.
+    pub(crate) fn new(exprs: &[ParamExpr]) -> Slots {
+        assert!(exprs.len() <= 3, "gates take at most 3 parameters");
+        let mut out = Slots { len: exprs.len() as u8, exprs: [ParamExpr::constant(0.0); 3] };
+        out.exprs[..exprs.len()].copy_from_slice(exprs);
+        out
+    }
+
+    /// Whether any slot reads an input feature.
+    pub(crate) fn reads_data(&self) -> bool {
+        self.iter().any(|e| e.is_data())
+    }
+}
+
+impl std::ops::Deref for Slots {
+    type Target = [ParamExpr];
+
+    fn deref(&self) -> &[ParamExpr] {
+        &self.exprs[..self.len as usize]
+    }
+}
+
 /// One executable operation of a compiled program.
 #[derive(Clone, Debug)]
 pub(crate) enum Op {
@@ -64,18 +99,21 @@ pub(crate) enum Op {
     /// A fused static two-qubit unitary; `qa` is the low subspace bit.
     Two { qa: usize, qb: usize, m: Mat4 },
     /// A parametric single-qubit gate with unresolved angle slots.
-    Dyn1 {
-        q: usize,
-        gate: Gate,
-        params: Vec<ParamExpr>,
-    },
+    Dyn1 { q: usize, gate: Gate, params: Slots },
     /// A parametric two-qubit gate with unresolved angle slots.
     Dyn2 {
         qa: usize,
         qb: usize,
         gate: Gate,
-        params: Vec<ParamExpr>,
+        params: Slots,
     },
+}
+
+impl Op {
+    /// Whether the op still has unresolved angle slots.
+    pub(crate) fn is_dynamic(&self) -> bool {
+        matches!(self, Op::Dyn1 { .. } | Op::Dyn2 { .. })
+    }
 }
 
 /// Embeds a single-qubit unitary acting on the *low* subspace bit into the
@@ -109,8 +147,8 @@ pub(crate) fn swap_operands(m: &Mat4) -> Mat4 {
 pub(crate) enum Item {
     Static1(usize, Mat2),
     Static2(usize, usize, Mat4),
-    Dyn1(usize, Gate, Vec<ParamExpr>),
-    Dyn2(usize, usize, Gate, Vec<ParamExpr>),
+    Dyn1(usize, Gate, Slots),
+    Dyn2(usize, usize, Gate, Slots),
 }
 
 /// Incremental gate-fusion state with recyclable buffers.
@@ -245,14 +283,9 @@ pub(crate) fn classify_items(circuit: &Circuit) -> Vec<Item> {
                     Item::Static2(ins.qubits[0], ins.qubits[1], ins.gate.matrix2(&values))
                 }
                 None if ins.gate.num_qubits() == 1 => {
-                    Item::Dyn1(ins.qubits[0], ins.gate, ins.params.clone())
+                    Item::Dyn1(ins.qubits[0], ins.gate, Slots::new(&ins.params))
                 }
-                None => Item::Dyn2(
-                    ins.qubits[0],
-                    ins.qubits[1],
-                    ins.gate,
-                    ins.params.clone(),
-                ),
+                None => Item::Dyn2(ins.qubits[0], ins.qubits[1], ins.gate, Slots::new(&ins.params)),
             }
         })
         .collect()
@@ -297,12 +330,11 @@ impl Program {
                 Op::One { q, m } => Item::Static1(*q, *m),
                 Op::Two { qa, qb, m } => Item::Static2(*qa, *qb, *m),
                 Op::Dyn1 { q, gate, params: p } => {
-                    if p.iter().any(|e| e.is_data()) {
-                        Item::Dyn1(*q, *gate, p.clone())
+                    if p.reads_data() {
+                        Item::Dyn1(*q, *gate, *p)
                     } else {
-                        let values: Vec<f64> =
-                            p.iter().map(|e| e.resolve(params, &[])).collect();
-                        Item::Static1(*q, gate.matrix1(&values))
+                        let values = resolve_values(p, params, &[]);
+                        Item::Static1(*q, gate.matrix1(&values[..p.len()]))
                     }
                 }
                 Op::Dyn2 {
@@ -311,12 +343,11 @@ impl Program {
                     gate,
                     params: p,
                 } => {
-                    if p.iter().any(|e| e.is_data()) {
-                        Item::Dyn2(*qa, *qb, *gate, p.clone())
+                    if p.reads_data() {
+                        Item::Dyn2(*qa, *qb, *gate, *p)
                     } else {
-                        let values: Vec<f64> =
-                            p.iter().map(|e| e.resolve(params, &[])).collect();
-                        Item::Static2(*qa, *qb, gate.matrix2(&values))
+                        let values = resolve_values(p, params, &[]);
+                        Item::Static2(*qa, *qb, gate.matrix2(&values[..p.len()]))
                     }
                 }
             })
@@ -411,10 +442,7 @@ pub(crate) fn apply_ops(
     features: &[f64],
 ) {
     let parallel_amps = num_qubits >= AMPLITUDE_PAR_MIN_QUBITS;
-    let has_dynamic = ops
-        .iter()
-        .any(|op| matches!(op, Op::Dyn1 { .. } | Op::Dyn2 { .. }));
-    if !has_dynamic {
+    if !ops.iter().any(Op::is_dynamic) {
         execute_static_ops(psi, ops, parallel_amps);
         return;
     }
@@ -423,31 +451,58 @@ pub(crate) fn apply_ops(
     // same order), but the steady state allocates nothing.
     FUSE_SCRATCH.with(|cell| {
         let mut fuser = cell.borrow_mut();
-        let sw = elivagar_obs::metrics::Stopwatch::start();
-        fuser.begin(num_qubits);
-        for op in ops {
-            let item = match op {
-                Op::One { q, m } => Item::Static1(*q, *m),
-                Op::Two { qa, qb, m } => Item::Static2(*qa, *qb, *m),
-                Op::Dyn1 { q, gate, params: p } => {
-                    let values = resolve_values(p, params, features);
-                    Item::Static1(*q, gate.matrix1(&values[..p.len()]))
-                }
-                Op::Dyn2 {
-                    qa,
-                    qb,
-                    gate,
-                    params: p,
-                } => {
-                    let values = resolve_values(p, params, features);
-                    Item::Static2(*qa, *qb, gate.matrix2(&values[..p.len()]))
-                }
-            };
-            fuser.push(item);
-        }
-        fuser.finish();
-        sw.record(&elivagar_obs::metrics::FUSION_NS);
+        refuse_resolved(&mut fuser, ops, num_qubits, params, features);
         execute_static_ops(psi, &fuser.ops, parallel_amps);
+    });
+}
+
+/// Fuses `ops` into `fuser` with every angle resolved from `params` and
+/// `features`: the angles-known re-fusion pass shared by [`apply_ops`]
+/// (per sample) and [`refuse_static`] (at bind time).
+fn refuse_resolved(
+    fuser: &mut Fuser,
+    ops: &[Op],
+    num_qubits: usize,
+    params: &[f64],
+    features: &[f64],
+) {
+    let sw = elivagar_obs::metrics::Stopwatch::start();
+    fuser.begin(num_qubits);
+    for op in ops {
+        let item = match op {
+            Op::One { q, m } => Item::Static1(*q, *m),
+            Op::Two { qa, qb, m } => Item::Static2(*qa, *qb, *m),
+            Op::Dyn1 { q, gate, params: p } => {
+                let values = resolve_values(p, params, features);
+                Item::Static1(*q, gate.matrix1(&values[..p.len()]))
+            }
+            Op::Dyn2 {
+                qa,
+                qb,
+                gate,
+                params: p,
+            } => {
+                let values = resolve_values(p, params, features);
+                Item::Static2(*qa, *qb, gate.matrix2(&values[..p.len()]))
+            }
+        };
+        fuser.push(item);
+    }
+    fuser.finish();
+    sw.record(&elivagar_obs::metrics::FUSION_NS);
+}
+
+/// Fuses a fully static but unfused op stream in place — exactly the
+/// re-fusion [`apply_ops`] would run on it per sample, done once. The
+/// adjoint bind phase uses this when binding leaves no dynamic op. The
+/// stream and the thread's fusion scratch swap buffers, so the steady
+/// state allocates nothing.
+pub(crate) fn refuse_static(ops: &mut Vec<Op>, num_qubits: usize) {
+    debug_assert!(!ops.iter().any(Op::is_dynamic), "stream must be fully static");
+    FUSE_SCRATCH.with(|cell| {
+        let mut fuser = cell.borrow_mut();
+        refuse_resolved(&mut fuser, ops, num_qubits, &[], &[]);
+        std::mem::swap(ops, &mut fuser.ops);
     });
 }
 
@@ -1167,7 +1222,30 @@ fn apply_mat1_slice(amps: &mut [C64], q: usize, m: &Mat2) {
     apply_mat1_slice_scalar(amps, q, m);
 }
 
+// ---- scalar kernels ---------------------------------------------------------
+//
+// Each scalar kernel has a `q == 0` (or `lo == 0`) specialization: there a
+// butterfly's partners are adjacent amplitudes, and the generic loop nest
+// would run an inner loop of length 1 per pair. The specializations walk
+// fixed-size pairs instead, with the same per-amplitude expression and the
+// same accumulation order, so they are bit-identical to the generic loops
+// (which the unit tests keep as their oracle). At 4 qubits every op on
+// qubit 0 lands here, because the AVX2 kernels need `q >= 1`.
+
 fn apply_mat1_slice_scalar(amps: &mut [C64], q: usize, m: &Mat2) {
+    if q == 0 {
+        let [[m00, m01], [m10, m11]] = m.0;
+        for [c, s] in amps.as_chunks_mut::<2>().0 {
+            let (a0, a1) = (*c, *s);
+            *c = m00 * a0 + m01 * a1;
+            *s = m10 * a0 + m11 * a1;
+        }
+        return;
+    }
+    apply_mat1_slice_generic(amps, q, m);
+}
+
+fn apply_mat1_slice_generic(amps: &mut [C64], q: usize, m: &Mat2) {
     let stride = 1usize << q;
     let [[m00, m01], [m10, m11]] = m.0;
     for block in amps.chunks_exact_mut(stride << 1) {
@@ -1203,6 +1281,28 @@ fn apply_mat2_slice(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) {
 }
 
 fn apply_mat2_slice_scalar(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) {
+    if qa.min(qb) > 0 {
+        apply_mat2_slice_generic(amps, qa, qb, m);
+        return;
+    }
+    let hi = qa.max(qb);
+    let normalized = if qa < qb { *m } else { swap_operands(m) };
+    let [[m00, m01, m02, m03], [m10, m11, m12, m13], [m20, m21, m22, m23], [m30, m31, m32, m33]] =
+        normalized.0;
+    for block in amps.chunks_exact_mut(1usize << (hi + 1)) {
+        let (h0, h1) = block.split_at_mut(1usize << hi);
+        let pairs = h0.as_chunks_mut::<2>().0.iter_mut().zip(h1.as_chunks_mut::<2>().0);
+        for ([p0, p1], [p2, p3]) in pairs {
+            let (a0, a1, a2, a3) = (*p0, *p1, *p2, *p3);
+            *p0 = m00 * a0 + m01 * a1 + m02 * a2 + m03 * a3;
+            *p1 = m10 * a0 + m11 * a1 + m12 * a2 + m13 * a3;
+            *p2 = m20 * a0 + m21 * a1 + m22 * a2 + m23 * a3;
+            *p3 = m30 * a0 + m31 * a1 + m32 * a2 + m33 * a3;
+        }
+    }
+}
+
+fn apply_mat2_slice_generic(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) {
     let (lo, hi) = if qa < qb { (qa, qb) } else { (qb, qa) };
     let normalized = if qa < qb { *m } else { swap_operands(m) };
     let [[m00, m01, m02, m03], [m10, m11, m12, m13], [m20, m21, m22, m23], [m30, m31, m32, m33]] =
@@ -1243,6 +1343,17 @@ fn apply_diag1_slice(amps: &mut [C64], q: usize, d: &[C64; 2]) {
 }
 
 fn apply_diag1_slice_scalar(amps: &mut [C64], q: usize, d: &[C64; 2]) {
+    if q == 0 {
+        for [c, s] in amps.as_chunks_mut::<2>().0 {
+            *c = d[0] * *c;
+            *s = d[1] * *s;
+        }
+        return;
+    }
+    apply_diag1_slice_generic(amps, q, d);
+}
+
+fn apply_diag1_slice_generic(amps: &mut [C64], q: usize, d: &[C64; 2]) {
     let stride = 1usize << q;
     for block in amps.chunks_exact_mut(stride << 1) {
         let (clear, set) = block.split_at_mut(stride);
@@ -1269,6 +1380,25 @@ fn apply_diag2_slice(amps: &mut [C64], qa: usize, qb: usize, d: &[C64; 4]) {
 }
 
 fn apply_diag2_slice_scalar(amps: &mut [C64], qa: usize, qb: usize, d: &[C64; 4]) {
+    if qa.min(qb) > 0 {
+        apply_diag2_slice_generic(amps, qa, qb, d);
+        return;
+    }
+    let hi = qa.max(qb);
+    let nd = if qa < qb { *d } else { [d[0], d[2], d[1], d[3]] };
+    for block in amps.chunks_exact_mut(1usize << (hi + 1)) {
+        let (h0, h1) = block.split_at_mut(1usize << hi);
+        let pairs = h0.as_chunks_mut::<2>().0.iter_mut().zip(h1.as_chunks_mut::<2>().0);
+        for ([p0, p1], [p2, p3]) in pairs {
+            *p0 = nd[0] * *p0;
+            *p1 = nd[1] * *p1;
+            *p2 = nd[2] * *p2;
+            *p3 = nd[3] * *p3;
+        }
+    }
+}
+
+fn apply_diag2_slice_generic(amps: &mut [C64], qa: usize, qb: usize, d: &[C64; 4]) {
     let (lo, hi) = if qa < qb { (qa, qb) } else { (qb, qa) };
     let nd = if qa < qb { *d } else { [d[0], d[2], d[1], d[3]] };
     let sl = 1usize << lo;
@@ -1303,6 +1433,21 @@ pub(crate) fn bilinear_mat1(lam: &[C64], psi: &[C64], q: usize, m: &Mat2) -> f64
 }
 
 fn bilinear_mat1_scalar(lam: &[C64], psi: &[C64], q: usize, m: &Mat2) -> f64 {
+    if q > 0 {
+        return bilinear_mat1_generic(lam, psi, q, m);
+    }
+    let [[m00, m01], [m10, m11]] = m.0;
+    let mut acc = 0.0;
+    for ([lc, ls], [pc, ps]) in lam.as_chunks::<2>().0.iter().zip(psi.as_chunks::<2>().0) {
+        let f0 = m00 * *pc + m01 * *ps;
+        let f1 = m10 * *pc + m11 * *ps;
+        acc += lc.re * f0.re + lc.im * f0.im;
+        acc += ls.re * f1.re + ls.im * f1.im;
+    }
+    acc
+}
+
+fn bilinear_mat1_generic(lam: &[C64], psi: &[C64], q: usize, m: &Mat2) -> f64 {
     let stride = 1usize << q;
     let [[m00, m01], [m10, m11]] = m.0;
     let mut acc = 0.0;
@@ -1335,6 +1480,36 @@ pub(crate) fn bilinear_mat2(lam: &[C64], psi: &[C64], qa: usize, qb: usize, m: &
 }
 
 fn bilinear_mat2_scalar(lam: &[C64], psi: &[C64], qa: usize, qb: usize, m: &Mat4) -> f64 {
+    if qa.min(qb) > 0 {
+        return bilinear_mat2_generic(lam, psi, qa, qb, m);
+    }
+    let hi = qa.max(qb);
+    let normalized = if qa < qb { *m } else { swap_operands(m) };
+    let [[m00, m01, m02, m03], [m10, m11, m12, m13], [m20, m21, m22, m23], [m30, m31, m32, m33]] =
+        normalized.0;
+    let mut acc = 0.0;
+    for (lb, pb) in lam.chunks_exact(1usize << (hi + 1)).zip(psi.chunks_exact(1usize << (hi + 1)))
+    {
+        let (lh0, lh1) = lb.split_at(1usize << hi);
+        let (ph0, ph1) = pb.split_at(1usize << hi);
+        let lams = lh0.as_chunks::<2>().0.iter().zip(lh1.as_chunks::<2>().0);
+        let psis = ph0.as_chunks::<2>().0.iter().zip(ph1.as_chunks::<2>().0);
+        for (([l0, l1], [l2, l3]), ([a0, a1], [a2, a3])) in lams.zip(psis) {
+            let (a0, a1, a2, a3) = (*a0, *a1, *a2, *a3);
+            let f0 = m00 * a0 + m01 * a1 + m02 * a2 + m03 * a3;
+            let f1 = m10 * a0 + m11 * a1 + m12 * a2 + m13 * a3;
+            let f2 = m20 * a0 + m21 * a1 + m22 * a2 + m23 * a3;
+            let f3 = m30 * a0 + m31 * a1 + m32 * a2 + m33 * a3;
+            acc += l0.re * f0.re + l0.im * f0.im;
+            acc += l1.re * f1.re + l1.im * f1.im;
+            acc += l2.re * f2.re + l2.im * f2.im;
+            acc += l3.re * f3.re + l3.im * f3.im;
+        }
+    }
+    acc
+}
+
+fn bilinear_mat2_generic(lam: &[C64], psi: &[C64], qa: usize, qb: usize, m: &Mat4) -> f64 {
     let (lo, hi) = if qa < qb { (qa, qb) } else { (qb, qa) };
     let normalized = if qa < qb { *m } else { swap_operands(m) };
     let [[m00, m01, m02, m03], [m10, m11, m12, m13], [m20, m21, m22, m23], [m30, m31, m32, m33]] =
@@ -1635,6 +1810,76 @@ mod tests {
         let program = Program::compile(&c);
         let reference = StateVector::run(&c, &[1.3], &[]);
         assert_states_match(&program.run(&[1.3], &[]), &reference, 1e-12);
+    }
+
+    /// Deterministic unnormalized amplitudes (the kernels are linear, so
+    /// normalization is irrelevant to bit-identity).
+    fn scrambled(len: usize, seed: u64) -> Vec<C64> {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        };
+        (0..len).map(|_| C64::new(next(), next())).collect()
+    }
+
+    fn bits(amps: &[C64]) -> Vec<(u64, u64)> {
+        amps.iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect()
+    }
+
+    /// The `q == 0` / `lo == 0` scalar specializations must reproduce the
+    /// generic loop nests bit for bit: same per-amplitude expressions,
+    /// same accumulation order. The generic loops are the oracle.
+    #[test]
+    fn q0_scalar_kernels_match_generic_loops_bitwise() {
+        for n in 1..=5usize {
+            let seed = n as u64;
+            let psi = scrambled(1 << n, seed);
+            let lam = scrambled(1 << n, seed + 100);
+            let m1 = Mat2([[psi[0], lam[0]], [lam[1], psi[1]]]);
+            let d1 = [lam[0], psi[1]];
+
+            let (mut a, mut b) = (psi.clone(), psi.clone());
+            apply_mat1_slice_scalar(&mut a, 0, &m1);
+            apply_mat1_slice_generic(&mut b, 0, &m1);
+            assert_eq!(bits(&a), bits(&b), "mat1, {n} qubits");
+
+            let (mut a, mut b) = (psi.clone(), psi.clone());
+            apply_diag1_slice_scalar(&mut a, 0, &d1);
+            apply_diag1_slice_generic(&mut b, 0, &d1);
+            assert_eq!(bits(&a), bits(&b), "diag1, {n} qubits");
+
+            let fast = bilinear_mat1_scalar(&lam, &psi, 0, &m1);
+            let oracle = bilinear_mat1_generic(&lam, &psi, 0, &m1);
+            assert_eq!(fast.to_bits(), oracle.to_bits(), "bilinear1, {n} qubits");
+
+            let entries = scrambled(16, seed + 200);
+            let mut m2 = Mat4([[C64::ZERO; 4]; 4]);
+            for (k, e) in entries.iter().enumerate() {
+                m2.0[k / 4][k % 4] = *e;
+            }
+            let d2 = [entries[0], entries[5], entries[10], entries[15]];
+            for hi in 1..n {
+                for (qa, qb) in [(0, hi), (hi, 0)] {
+                    let (mut a, mut b) = (psi.clone(), psi.clone());
+                    apply_mat2_slice_scalar(&mut a, qa, qb, &m2);
+                    apply_mat2_slice_generic(&mut b, qa, qb, &m2);
+                    assert_eq!(bits(&a), bits(&b), "mat2 ({qa},{qb}), {n} qubits");
+
+                    let (mut a, mut b) = (psi.clone(), psi.clone());
+                    apply_diag2_slice_scalar(&mut a, qa, qb, &d2);
+                    apply_diag2_slice_generic(&mut b, qa, qb, &d2);
+                    assert_eq!(bits(&a), bits(&b), "diag2 ({qa},{qb}), {n} qubits");
+
+                    let fast = bilinear_mat2_scalar(&lam, &psi, qa, qb, &m2);
+                    let oracle = bilinear_mat2_generic(&lam, &psi, qa, qb, &m2);
+                    let what = format!("bilinear2 ({qa},{qb}), {n} qubits");
+                    assert_eq!(fast.to_bits(), oracle.to_bits(), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

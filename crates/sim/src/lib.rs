@@ -6,8 +6,10 @@
 //! * [`StateVector`] — dense noiseless simulation (training, RepCap);
 //! * [`adjoint`] — O(1)-sweep gradients, the classical "backprop" analog:
 //!   [`AdjointProgram`] compiles a circuit into fused blocks and streams
-//!   the backward sweep; [`adjoint::reference`] is the per-instruction
-//!   oracle it is tested against;
+//!   the backward sweep, and [`AdjointProgram::bind_into`] resolves every
+//!   θ-only gate once per parameter vector ([`BoundAdjoint`]);
+//!   [`adjoint::reference`] is the per-instruction oracle it is tested
+//!   against;
 //! * [`stabilizer`] + [`clifford`] — Aaronson–Gottesman tableau simulation
 //!   of Clifford circuits (the engine behind the CNR predictor);
 //! * [`noise`] — Pauli / damping / readout channel descriptions;
@@ -84,7 +86,7 @@ pub mod statevector;
 pub mod trajectory;
 pub mod workspace;
 
-pub use adjoint::{AdjointProgram, Gradients, ZObservable};
+pub use adjoint::{AdjointProgram, BoundAdjoint, Gradients, ZObservable};
 pub use engine::{
     par_items_with_arena, BoundProgram, MultiItem, MultiProgram, Program, TILE_QUBITS,
 };

@@ -14,7 +14,7 @@ use crate::runtime::TaskSeeds;
 use crate::stabilizer::{CliffordOp, Tableau};
 use crate::statevector::StateVector;
 use crate::workspace;
-use elivagar_circuit::math::{C64, Mat2};
+use elivagar_circuit::math::{C64, Mat2, Mat4};
 use elivagar_circuit::{Circuit, Gate};
 use rand::Rng;
 
@@ -104,13 +104,37 @@ fn excited_population(psi: &StateVector, q: usize) -> f64 {
     (1.0 - psi.expectation_z(q)) / 2.0
 }
 
+/// One instruction's gate matrix, resolved once per
+/// [`noisy_distribution`] call and shared by all its trajectories (the
+/// angles are fixed for the call; only the sampled errors differ).
+enum ResolvedGate {
+    One(usize, Mat2),
+    Two(usize, usize, Mat4),
+}
+
+/// Resolves every instruction's gate matrix at `(params, features)`.
+fn resolve_gates(circuit: &Circuit, params: &[f64], features: &[f64]) -> Vec<ResolvedGate> {
+    circuit
+        .instructions()
+        .iter()
+        .map(|ins| {
+            let values = ins.resolve_params(params, features);
+            if ins.gate.num_qubits() == 1 {
+                ResolvedGate::One(ins.qubits[0], ins.gate.matrix1(&values))
+            } else {
+                ResolvedGate::Two(ins.qubits[0], ins.qubits[1], ins.gate.matrix2(&values))
+            }
+        })
+        .collect()
+}
+
 /// Runs one noisy trajectory, writing the exact output marginal over the
 /// circuit's measured qubits (before readout error) into `dist`. The
 /// working state comes from — and returns to — the per-thread workspace
 /// pool.
 fn run_trajectory<R: Rng + ?Sized>(
     circuit: &Circuit,
-    params: &[f64],
+    gates: &[ResolvedGate],
     features: &[f64],
     noise: &CircuitNoise,
     rng: &mut R,
@@ -121,9 +145,12 @@ fn run_trajectory<R: Rng + ?Sized>(
     } else {
         workspace::acquire_zero(circuit.num_qubits())
     };
-    for (ins, n) in circuit.instructions().iter().zip(&noise.per_instruction) {
-        let values = ins.resolve_params(params, features);
-        psi.apply_instruction(ins, &values);
+    let instructions = circuit.instructions().iter().zip(&noise.per_instruction);
+    for (gate, (ins, n)) in gates.iter().zip(instructions) {
+        match gate {
+            ResolvedGate::One(q, m) => psi.apply_mat1(*q, m),
+            ResolvedGate::Two(qa, qb, m) => psi.apply_mat2(*qa, *qb, m),
+        }
         for (k, &q) in ins.qubits.iter().enumerate() {
             apply_pauli_sample(&mut psi, q, &n.pauli[k], rng);
             apply_damping_sample(&mut psi, q, &n.damping[k], rng);
@@ -167,6 +194,7 @@ pub fn noisy_distribution<R: Rng + ?Sized>(
         "readout description does not match measured qubits"
     );
     let dim = 1usize << circuit.measured().len();
+    let gates = resolve_gates(circuit, params, features);
     let seeds = TaskSeeds::from_rng(rng);
     let partials = par_map_index(num_trajectories.div_ceil(SHOT_CHUNK), |c| {
         let mut acc = vec![0.0; dim];
@@ -174,7 +202,7 @@ pub fn noisy_distribution<R: Rng + ?Sized>(
         let end = ((c + 1) * SHOT_CHUNK).min(num_trajectories);
         for t in c * SHOT_CHUNK..end {
             let mut shot_rng = seeds.rng(t);
-            run_trajectory(circuit, params, features, noise, &mut shot_rng, &mut dist);
+            run_trajectory(circuit, &gates, features, noise, &mut shot_rng, &mut dist);
             for (a, d) in acc.iter_mut().zip(&dist) {
                 *a += d;
             }

@@ -53,6 +53,12 @@ for t in 1 2 4; do
     cargo test -q -p elivagar-bench --test determinism
 done
 
+# Solo `try_train` and cohort minibatch zero-allocation audit. The test
+# pins the pool to one worker itself before first use (a multi-worker
+# dispatch allocates its job envelope by design), so one run suffices; the
+# bind-phase goldens run at 1/2/4 threads in the determinism pass above.
+run_counted "ml zero-alloc" cargo test -q -p elivagar-ml --test zero_alloc
+
 # Result-cache differential matrix: cache off, cold, and warm must agree
 # bit-for-bit (rankings, Pareto fronts, journals) at every thread count,
 # and the corruption battery (truncation, bit flips, stale salts,
